@@ -16,7 +16,6 @@
 
 use crate::plan::{plan_user_access, FaultView, OpPlan, PlannedIo};
 use decluster_core::layout::ArrayMapping;
-use decluster_disk::IoKind;
 use decluster_workload::AccessKind;
 
 /// The decomposition of an extent access.
@@ -70,7 +69,9 @@ pub fn plan_extent(
         let within = logical % d;
         let stripe_fully_covered = kind == AccessKind::Write && within == 0 && end - logical >= d;
         if stripe_fully_covered {
-            if let Some(full) = plan_full_stripe_write(mapping, logical, fault) {
+            let (stripe, _) = mapping.logical_to_stripe(logical);
+            let mut full = OpPlan::default();
+            if plan_full_stripe_write_into(mapping, stripe, fault, &mut full) {
                 plan.plans.push(full);
                 plan.spans.push((logical, d));
                 plan.full_stripe_writes += 1;
@@ -86,43 +87,26 @@ pub fn plan_extent(
     plan
 }
 
-/// The criterion-5 plan: `G` parallel writes, no pre-reads. Only valid
-/// while every unit of the stripe is on a healthy (or rebuilt) disk;
-/// returns `None` otherwise so the caller falls back to per-unit plans.
-fn plan_full_stripe_write(
+/// The criterion-5 plan into a caller-owned plan: `G` parallel writes in
+/// layout order, no pre-reads. Only valid while every unit of the stripe
+/// is on a healthy (or rebuilt) disk; returns `false` otherwise so the
+/// caller falls back to per-unit plans.
+pub fn plan_full_stripe_write_into(
     mapping: &ArrayMapping,
-    first_logical: u64,
+    stripe: u64,
     fault: FaultView<'_>,
-) -> Option<OpPlan> {
-    let (stripe, index) = mapping.logical_to_stripe(first_logical);
-    debug_assert_eq!(index, 0);
-    let units = mapping.stripe_units(stripe);
-    let healthy = match fault {
-        FaultView::FaultFree => true,
-        FaultView::Degraded { failed } => units.iter().all(|u| u.disk != failed),
-        FaultView::Rebuilding {
-            failed, rebuilt, ..
-        } => units
-            .iter()
-            .all(|u| u.disk != failed || rebuilt[u.offset as usize]),
-    };
-    if !healthy {
-        return None;
+    plan: &mut OpPlan,
+) -> bool {
+    plan.reset(mapping, stripe, 0);
+    if plan.units.iter().any(|&u| fault.is_lost(u)) {
+        return false;
     }
-    Some(OpPlan {
-        phase1: units
+    plan.phase1.extend(
+        plan.units
             .iter()
-            .map(|&u| {
-                let live = fault.live_location(u);
-                PlannedIo {
-                    disk: live.disk,
-                    offset: live.offset,
-                    kind: IoKind::Write,
-                }
-            })
-            .collect(),
-        ..OpPlan::default()
-    })
+            .map(|&u| PlannedIo::write(fault.live_location(u))),
+    );
+    true
 }
 
 #[cfg(test)]
@@ -130,6 +114,7 @@ mod tests {
     use super::*;
     use decluster_core::design::BlockDesign;
     use decluster_core::layout::{DeclusteredLayout, ParityLayout, Raid5Layout};
+    use decluster_disk::IoKind;
     use std::sync::Arc;
 
     fn mapping(g: u16) -> ArrayMapping {
@@ -141,7 +126,7 @@ mod tests {
     #[test]
     fn aligned_full_stripe_write_needs_no_prereads() {
         let m = mapping(4); // 3 data units per stripe
-        let p = plan_extent(&m, AccessKind::Write, 0, 3, FaultView::FaultFree);
+        let p = plan_extent(&m, AccessKind::Write, 0, 3, FaultView::FAULT_FREE);
         assert_eq!(p.full_stripe_writes, 1);
         assert_eq!(p.plans.len(), 1);
         // G = 4 parallel writes, zero reads.
@@ -154,9 +139,9 @@ mod tests {
     fn optimization_beats_rmw_by_the_papers_factor() {
         // Full-stripe write: G accesses. Same units via RMW: 4·(G−1).
         let m = mapping(4);
-        let optimized = plan_extent(&m, AccessKind::Write, 0, 3, FaultView::FaultFree);
+        let optimized = plan_extent(&m, AccessKind::Write, 0, 3, FaultView::FAULT_FREE);
         let unit_by_unit: usize = (0..3)
-            .map(|l| plan_user_access(&m, AccessKind::Write, l, FaultView::FaultFree).accesses())
+            .map(|l| plan_user_access(&m, AccessKind::Write, l, FaultView::FAULT_FREE).accesses())
             .sum();
         assert_eq!(optimized.accesses(), 4);
         assert_eq!(unit_by_unit, 12);
@@ -166,7 +151,7 @@ mod tests {
     fn unaligned_extent_splits_head_and_tail() {
         let m = mapping(4);
         // Units 1..7: head 1,2 (partial), full stripe 3..6, tail 6.
-        let p = plan_extent(&m, AccessKind::Write, 1, 6, FaultView::FaultFree);
+        let p = plan_extent(&m, AccessKind::Write, 1, 6, FaultView::FAULT_FREE);
         assert_eq!(p.full_stripe_writes, 1);
         // 2 head RMWs + 1 full stripe + 1 tail RMW.
         assert_eq!(p.plans.len(), 4);
@@ -175,7 +160,7 @@ mod tests {
     #[test]
     fn extent_shorter_than_stripe_is_all_rmw() {
         let m = mapping(4);
-        let p = plan_extent(&m, AccessKind::Write, 0, 2, FaultView::FaultFree);
+        let p = plan_extent(&m, AccessKind::Write, 0, 2, FaultView::FAULT_FREE);
         assert_eq!(p.full_stripe_writes, 0);
         assert_eq!(p.plans.len(), 2);
     }
@@ -183,7 +168,7 @@ mod tests {
     #[test]
     fn reads_decompose_per_unit() {
         let m = mapping(4);
-        let p = plan_extent(&m, AccessKind::Read, 0, 6, FaultView::FaultFree);
+        let p = plan_extent(&m, AccessKind::Read, 0, 6, FaultView::FAULT_FREE);
         assert_eq!(p.full_stripe_writes, 0);
         assert_eq!(p.plans.len(), 6);
         assert_eq!(p.accesses(), 6);
@@ -197,13 +182,7 @@ mod tests {
         let (stripe, _) = m.logical_to_stripe(0);
         let has_disk0 = m.stripe_units(stripe).iter().any(|u| u.disk == 0);
         assert!(has_disk0, "stripe 0 of the complete design touches disk 0");
-        let p = plan_extent(
-            &m,
-            AccessKind::Write,
-            0,
-            3,
-            FaultView::Degraded { failed: 0 },
-        );
+        let p = plan_extent(&m, AccessKind::Write, 0, 3, FaultView::degraded(0));
         assert_eq!(p.full_stripe_writes, 0);
         assert_eq!(p.plans.len(), 3);
         // And no plan touches the dead disk.
@@ -230,13 +209,7 @@ mod tests {
             }
         }
         let start = aligned.expect("some stripe avoids disk 0");
-        let p = plan_extent(
-            &m,
-            AccessKind::Write,
-            start,
-            3,
-            FaultView::Degraded { failed: 0 },
-        );
+        let p = plan_extent(&m, AccessKind::Write, start, 3, FaultView::degraded(0));
         assert_eq!(p.full_stripe_writes, 1);
         assert_eq!(p.accesses(), 4);
     }
@@ -248,13 +221,13 @@ mod tests {
         let raid5 = ArrayMapping::new(Arc::new(Raid5Layout::new(5).unwrap()), 200).unwrap();
         let m4 = mapping(4);
         // A 3-unit aligned write: full stripe for G=4, partial for RAID 5.
-        let decl = plan_extent(&m4, AccessKind::Write, 0, 3, FaultView::FaultFree);
-        let r5 = plan_extent(&raid5, AccessKind::Write, 0, 3, FaultView::FaultFree);
+        let decl = plan_extent(&m4, AccessKind::Write, 0, 3, FaultView::FAULT_FREE);
+        let r5 = plan_extent(&raid5, AccessKind::Write, 0, 3, FaultView::FAULT_FREE);
         assert_eq!(decl.full_stripe_writes, 1);
         assert_eq!(r5.full_stripe_writes, 0);
         assert!(decl.accesses() < r5.accesses());
         // RAID 5 needs 4 aligned units.
-        let r5_full = plan_extent(&raid5, AccessKind::Write, 0, 4, FaultView::FaultFree);
+        let r5_full = plan_extent(&raid5, AccessKind::Write, 0, 4, FaultView::FAULT_FREE);
         assert_eq!(r5_full.full_stripe_writes, 1);
         assert_eq!(r5_full.accesses(), 5);
     }
@@ -268,7 +241,7 @@ mod tests {
             AccessKind::Read,
             m.data_units() - 1,
             2,
-            FaultView::FaultFree,
+            FaultView::FAULT_FREE,
         );
     }
 
@@ -276,6 +249,6 @@ mod tests {
     #[should_panic(expected = "empty extent")]
     fn empty_extent_panics() {
         let m = mapping(4);
-        plan_extent(&m, AccessKind::Read, 0, 0, FaultView::FaultFree);
+        plan_extent(&m, AccessKind::Read, 0, 0, FaultView::FAULT_FREE);
     }
 }

@@ -14,10 +14,14 @@
 //!   data fold into the parity unit; writes whose parity is lost skip the
 //!   parity update entirely;
 //! * **reconstructing** — one or more background processes sweep the
-//!   replacement disk, each cycle reading the stripe's `G−1` surviving
-//!   units and writing the rebuilt unit, under any of the paper's four
+//!   replacement disk, each cycle reading the `G−m` survivors the
+//!   decoder needs and writing the rebuilt unit, under any of the paper's four
 //!   algorithms ([`ReconAlgorithm`]): baseline, user-writes, redirection
 //!   of reads, and redirection plus piggybacking.
+//!
+//! The decomposition itself lives in [`plan`] (and [`extent`]): the one
+//! table the simulator times here and the file-backed block store
+//! (`decluster-store`) executes over real files.
 //!
 //! Timing comes from the positional disk model in `decluster-disk`; the
 //! layout comes from `decluster-core`. A separate *data plane*

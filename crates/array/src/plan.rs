@@ -1,11 +1,20 @@
 //! The striping driver's decision table: how a user access decomposes into
-//! disk accesses under each operating mode.
+//! disk accesses under each operating mode. It is the one table both
+//! planes execute: the simulator ([`crate::sim`]) times the plans, and the
+//! file-backed block store (`decluster-store`) carries them out over real
+//! files, keeping only the byte work (checksummed reads, XOR/GF(256), the
+//! P/Q decode, coalesced writes).
 //!
 //! Kept pure (no simulator state, no timing) so every case in the paper's
 //! Sections 6–8 can be unit-tested directly: the four-access write, the
-//! `G = 3` three-access optimization, on-the-fly reconstruction, parity
-//! folding, lost-parity writes, redirection, direct writes to the
-//! replacement, and piggybacking.
+//! `G = 3` three-access optimization, mirrored pairs, on-the-fly
+//! reconstruction, parity folding, lost-parity writes, redirection, direct
+//! writes to the replacement, piggybacking, and the rebuild of one unit.
+//!
+//! Every plan reads the least the decoder needs: the stripe's live data
+//! units other than those being recovered, plus one surviving parity per
+//! recovered data unit (P before Q). Plans are built into an [`OpPlan`]
+//! the caller owns and reuses, so steady-state planning allocates nothing.
 
 use crate::spare::SpareMap;
 use decluster_core::layout::{ArrayMapping, UnitAddr};
@@ -25,7 +34,8 @@ pub struct PlannedIo {
 }
 
 impl PlannedIo {
-    fn read(addr: UnitAddr) -> PlannedIo {
+    /// A read of the unit at `addr`.
+    pub(crate) fn read(addr: UnitAddr) -> PlannedIo {
         PlannedIo {
             disk: addr.disk,
             offset: addr.offset,
@@ -33,11 +43,34 @@ impl PlannedIo {
         }
     }
 
-    fn write(addr: UnitAddr) -> PlannedIo {
+    /// A write of the unit at `addr`.
+    pub(crate) fn write(addr: UnitAddr) -> PlannedIo {
         PlannedIo {
             disk: addr.disk,
             offset: addr.offset,
             kind: IoKind::Write,
+        }
+    }
+}
+
+/// What a single-unit user access does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access {
+    /// Read the whole unit.
+    Read,
+    /// Overwrite the whole unit.
+    Write,
+    /// Overwrite part of the unit: the rest of its old image must be read
+    /// (or decoded) first, so the mirrored-pair and `G = 3` shortcuts and
+    /// the parity-only fold of a lost unit do not apply.
+    PartialWrite,
+}
+
+impl From<AccessKind> for Access {
+    fn from(kind: AccessKind) -> Access {
+        match kind {
+            AccessKind::Read => Access::Read,
+            AccessKind::Write => Access::Write,
         }
     }
 }
@@ -47,16 +80,22 @@ impl PlannedIo {
 /// are done. (Pre-reads before writes in a read-modify-write.)
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct OpPlan {
+    /// The stripe's unit addresses in layout order: data units, then
+    /// parity.
+    pub units: Vec<UnitAddr>,
+    /// Position in `units` of the unit accessed or rebuilt.
+    pub target: usize,
     /// First wave of disk accesses.
     pub phase1: Vec<PlannedIo>,
     /// Second wave, gated on the first.
     pub phase2: Vec<PlannedIo>,
-    /// A replacement-disk offset to mark rebuilt when the plan completes
-    /// (direct user writes to the replacement).
-    pub mark_rebuilt: Option<u64>,
-    /// A replacement-disk offset to piggyback: after the plan completes the
-    /// driver issues a background write of the reconstructed unit there.
-    pub piggyback: Option<u64>,
+    /// A failed-slot unit to mark rebuilt when the plan completes (direct
+    /// user writes to the replacement, or a rebuild).
+    pub mark_rebuilt: Option<UnitAddr>,
+    /// A failed-slot unit to piggyback: after the plan completes the
+    /// driver issues a background write of the reconstructed unit to its
+    /// repair location.
+    pub piggyback: Option<UnitAddr>,
 }
 
 impl OpPlan {
@@ -65,74 +104,169 @@ impl OpPlan {
         self.phase1.len() + self.phase2.len()
     }
 
+    /// Every planned read, in issue order.
+    pub fn reads(&self) -> impl Iterator<Item = &PlannedIo> {
+        self.ios().filter(|io| io.kind == IoKind::Read)
+    }
+
+    /// Every planned write, in issue order.
+    pub fn writes(&self) -> impl Iterator<Item = &PlannedIo> {
+        self.ios().filter(|io| io.kind == IoKind::Write)
+    }
+
+    fn ios(&self) -> impl Iterator<Item = &PlannedIo> {
+        self.phase1.iter().chain(&self.phase2)
+    }
+
+    /// Clears the plan and loads `stripe`'s unit addresses, keeping every
+    /// buffer's capacity.
+    pub(crate) fn reset(&mut self, mapping: &ArrayMapping, stripe: u64, target: usize) {
+        self.units.clear();
+        mapping.stripe_units_into(stripe, &mut self.units);
+        self.target = target;
+        self.phase1.clear();
+        self.phase2.clear();
+        self.mark_rebuilt = None;
+        self.piggyback = None;
+    }
+
     /// Moves `phase2` up if `phase1` is empty (a plan with no pre-reads
     /// starts writing immediately).
-    fn normalized(mut self) -> OpPlan {
+    fn normalize(&mut self) {
         if self.phase1.is_empty() {
-            self.phase1 = std::mem::take(&mut self.phase2);
+            std::mem::swap(&mut self.phase1, &mut self.phase2);
         }
+    }
+
+    /// Appends the reads that let the decoder recover the data units
+    /// being reconstructed — every failed data unit, and the target too
+    /// when `decode_target` — to phase 1: every other live data unit,
+    /// then one surviving parity per recovered unit (P before Q). A
+    /// parity target is never read. Returns `false` when too few
+    /// parities survive.
+    fn push_decode_reads(&mut self, d: usize, decode_target: bool, fault: FaultView<'_>) -> bool {
+        let t = self.target;
+        let mut parities = 0;
+        for (i, &u) in self.units[..d].iter().enumerate() {
+            if (i == t && decode_target) || (i != t && fault.is_lost(u)) {
+                parities += 1;
+            } else if i != t {
+                self.phase1.push(PlannedIo::read(fault.live_location(u)));
+            }
+        }
+        for (i, &u) in self.units.iter().enumerate().skip(d) {
+            if parities > 0 && i != t && !fault.is_lost(u) {
+                self.phase1.push(PlannedIo::read(fault.live_location(u)));
+                parities -= 1;
+            }
+        }
+        parities == 0
+    }
+}
+
+/// Most failed slots a [`FaultView`] holds: the P+Q tolerance.
+pub const MAX_FAILED: usize = 2;
+
+/// One failed slot as the planner sees it.
+#[derive(Debug, Clone, Copy)]
+struct FailedSlot<'a> {
+    disk: u16,
+    /// Per-offset rebuilt flags once reconstruction has a target for the
+    /// slot (a replacement disk or distributed spare slots); `None` while
+    /// merely degraded.
+    rebuilt: Option<&'a [bool]>,
+}
+
+/// The array's fault state as the planner sees it: up to [`MAX_FAILED`]
+/// failed slots, each with its own rebuilt map, the reconstruction
+/// algorithm in force, and the spare map when rebuilding into distributed
+/// spares.
+#[derive(Debug, Clone, Copy)]
+pub struct FaultView<'a> {
+    slots: [Option<FailedSlot<'a>>; MAX_FAILED],
+    algorithm: ReconAlgorithm,
+    spares: Option<&'a SpareMap>,
+}
+
+impl<'a> FaultView<'a> {
+    /// All disks healthy.
+    pub const FAULT_FREE: FaultView<'static> = FaultView {
+        slots: [None; MAX_FAILED],
+        algorithm: ReconAlgorithm::Baseline,
+        spares: None,
+    };
+
+    /// `failed` has failed; no replacement is present.
+    pub fn degraded(failed: u16) -> FaultView<'a> {
+        FaultView::FAULT_FREE.with_failed(failed, None)
+    }
+
+    /// `failed` is being reconstructed under `algorithm` — onto a
+    /// dedicated replacement (`spares: None`) or into distributed spare
+    /// slots (`spares: Some`) — with `rebuilt` flagging the offsets done.
+    pub fn rebuilding(
+        failed: u16,
+        algorithm: ReconAlgorithm,
+        rebuilt: &'a [bool],
+        spares: Option<&'a SpareMap>,
+    ) -> FaultView<'a> {
+        FaultView {
+            spares,
+            ..FaultView::FAULT_FREE
+                .with_algorithm(algorithm)
+                .with_failed(failed, Some(rebuilt))
+        }
+    }
+
+    /// Adds a failed slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the view already holds [`MAX_FAILED`] slots.
+    pub fn with_failed(mut self, disk: u16, rebuilt: Option<&'a [bool]>) -> FaultView<'a> {
+        let free = self
+            .slots
+            .iter_mut()
+            .find(|s| s.is_none())
+            .expect("a fault view holds at most MAX_FAILED slots");
+        *free = Some(FailedSlot { disk, rebuilt });
         self
     }
-}
 
-/// The array's fault state as the planner sees it.
-#[derive(Debug, Clone, Copy)]
-pub enum FaultView<'a> {
-    /// All disks healthy.
-    FaultFree,
-    /// `failed` has failed; no replacement is present.
-    Degraded {
-        /// The failed disk.
-        failed: u16,
-    },
-    /// `failed` is being reconstructed — onto a dedicated replacement
-    /// (`spares: None`) or into distributed spare slots (`spares: Some`).
-    Rebuilding {
-        /// The slot being rebuilt.
-        failed: u16,
-        /// The active reconstruction algorithm.
-        algorithm: ReconAlgorithm,
-        /// Per-offset rebuilt flags for the failed disk's contents.
-        rebuilt: &'a [bool],
-        /// Spare-slot assignments when rebuilding into distributed spares.
-        spares: Option<&'a SpareMap>,
-    },
-}
-
-impl FaultView<'_> {
-    /// The failed slot, if any.
-    fn failed(&self) -> Option<u16> {
-        match self {
-            FaultView::FaultFree => None,
-            FaultView::Degraded { failed } | FaultView::Rebuilding { failed, .. } => Some(*failed),
-        }
+    /// Sets the reconstruction algorithm governing slots with a rebuilt
+    /// map.
+    pub fn with_algorithm(mut self, algorithm: ReconAlgorithm) -> FaultView<'a> {
+        self.algorithm = algorithm;
+        self
     }
 
-    /// Whether the unit at `offset` of the failed slot has valid data on
-    /// the replacement disk.
-    fn is_rebuilt(&self, offset: u64) -> bool {
-        match self {
-            FaultView::Rebuilding { rebuilt, .. } => rebuilt[offset as usize],
-            _ => false,
-        }
+    fn slot(&self, disk: u16) -> Option<&FailedSlot<'a>> {
+        self.slots.iter().flatten().find(|s| s.disk == disk)
     }
 
-    fn algorithm(&self) -> Option<ReconAlgorithm> {
-        match self {
-            FaultView::Rebuilding { algorithm, .. } => Some(*algorithm),
-            _ => None,
-        }
+    /// Whether `addr` is on a failed slot and has a rebuilt copy.
+    fn is_rebuilt(&self, addr: UnitAddr) -> bool {
+        self.slot(addr.disk)
+            .and_then(|s| s.rebuilt)
+            .is_some_and(|r| r[addr.offset as usize])
     }
 
-    /// Where a (rebuilt) unit of the failed disk now lives: its spare slot
+    /// Whether `addr` is unavailable: on a failed slot and not rebuilt.
+    pub fn is_lost(&self, addr: UnitAddr) -> bool {
+        self.slot(addr.disk).is_some() && !self.is_rebuilt(addr)
+    }
+
+    /// Whether reconstruction has a target for `disk`'s contents under an
+    /// algorithm with `capability`.
+    fn reconstructing(&self, disk: u16, capability: fn(ReconAlgorithm) -> bool) -> bool {
+        self.slot(disk).is_some_and(|s| s.rebuilt.is_some()) && capability(self.algorithm)
+    }
+
+    /// Where a (rebuilt) unit of a failed slot now lives: its spare slot
     /// under distributed sparing, or the same address on the replacement.
     pub fn repair_location(&self, addr: UnitAddr) -> UnitAddr {
-        match self {
-            FaultView::Rebuilding {
-                failed,
-                spares: Some(spares),
-                ..
-            } if addr.disk == *failed => spares
+        match self.spares {
+            Some(spares) if self.slot(addr.disk).is_some() => spares
                 .spare_of(addr.offset)
                 .expect("mapped unit has a spare slot"),
             _ => addr,
@@ -141,14 +275,11 @@ impl FaultView<'_> {
 
     /// The live address of a unit: `repair_location` if the unit has been
     /// rebuilt, the original address otherwise.
-    pub(crate) fn live_location(&self, addr: UnitAddr) -> UnitAddr {
-        match self {
-            FaultView::Rebuilding { failed, .. }
-                if addr.disk == *failed && self.is_rebuilt(addr.offset) =>
-            {
-                self.repair_location(addr)
-            }
-            _ => addr,
+    pub fn live_location(&self, addr: UnitAddr) -> UnitAddr {
+        if self.is_rebuilt(addr) {
+            self.repair_location(addr)
+        } else {
+            addr
         }
     }
 }
@@ -164,188 +295,197 @@ pub fn plan_user_access(
     logical: u64,
     fault: FaultView<'_>,
 ) -> OpPlan {
-    let mut units = Vec::new();
-    plan_user_access_with(mapping, kind, logical, fault, &mut units)
+    let mut plan = OpPlan::default();
+    plan_user_access_into(mapping, kind.into(), logical, fault, &mut plan);
+    plan
 }
 
-/// [`plan_user_access`] with a caller-provided scratch buffer for the
-/// stripe's unit addresses, so per-event planning allocates nothing for
-/// the stripe map. The buffer is cleared and refilled; its contents after
-/// the call are unspecified.
-pub fn plan_user_access_with(
+/// [`plan_user_access`] into a caller-owned plan, which is cleared and
+/// refilled: per-access planning allocates nothing once its buffers have
+/// grown to the stripe width.
+///
+/// # Panics
+///
+/// Panics if `logical` is beyond the mapping's capacity.
+pub fn plan_user_access_into(
     mapping: &ArrayMapping,
-    kind: AccessKind,
+    access: Access,
     logical: u64,
     fault: FaultView<'_>,
-    units: &mut Vec<UnitAddr>,
-) -> OpPlan {
+    plan: &mut OpPlan,
+) {
     let (stripe, index) = mapping.logical_to_stripe(logical);
-    units.clear();
-    mapping.stripe_units_into(stripe, units);
-    let g = mapping.stripe_width() as usize;
+    plan.reset(mapping, stripe, index as usize);
     let m = mapping.parity_units_per_stripe() as usize;
-    debug_assert_eq!(units.len(), g);
-    let data = units[index as usize];
-
-    match kind {
-        AccessKind::Read => plan_read(units, data, m, fault),
-        AccessKind::Write => plan_write(units, data, index, m, fault),
+    match access {
+        Access::Read => plan_read(plan, m, fault),
+        Access::Write => plan_write(plan, m, false, fault),
+        Access::PartialWrite => plan_write(plan, m, true, fault),
     }
-    .normalized()
+    plan.normalize();
 }
 
-fn plan_read(units: &[UnitAddr], data: UnitAddr, m: usize, fault: FaultView<'_>) -> OpPlan {
-    let failed = fault.failed();
-    if Some(data.disk) != failed {
-        // The common case: one read from a healthy disk.
-        return OpPlan {
-            phase1: vec![PlannedIo::read(data)],
-            ..OpPlan::default()
-        };
+/// Plans the reconstruction of the unit at `addr` into `plan`: phase 1
+/// reads the least the decoder needs to recover it — treating `addr` as
+/// erased whatever its disk's state — and phase 2 writes it to its repair
+/// location, together with every other lost unit of the stripe that has
+/// a rebuild target (the same reads recover those). Every phase-2 write
+/// rebuilds the unit it writes. The simulator's rebuild sweep and the
+/// store's rebuild, read repair and hedged reads all use this plan.
+/// Returns `false` (the plan's contents unspecified) when `addr` is
+/// unmapped or its stripe has lost more units than its parity recovers.
+pub fn plan_rebuild_unit_into(
+    mapping: &ArrayMapping,
+    addr: UnitAddr,
+    fault: FaultView<'_>,
+    plan: &mut OpPlan,
+) -> bool {
+    let Some(stripe) = mapping.role_at(addr.disk, addr.offset).stripe() else {
+        return false;
+    };
+    plan.reset(mapping, stripe, 0);
+    let Some(target) = plan.units.iter().position(|&u| u == addr) else {
+        return false;
+    };
+    plan.target = target;
+    let d = plan.units.len() - mapping.parity_units_per_stripe() as usize;
+    // A data target is decoded itself; a parity target needs every data
+    // image, so only the failed data units are decoded.
+    if !plan.push_decode_reads(d, true, fault) {
+        return false;
     }
-    // Data is on the failed slot.
-    if fault.is_rebuilt(data.offset) && fault.algorithm().is_some_and(|a| a.redirects_reads()) {
+    for (i, &u) in plan.units.iter().enumerate() {
+        if i == target || (fault.is_lost(u) && fault.reconstructing(u.disk, |_| true)) {
+            plan.phase2.push(PlannedIo::write(fault.repair_location(u)));
+        }
+    }
+    plan.mark_rebuilt = Some(addr);
+    true
+}
+
+/// The fraction of each surviving disk a full rebuild reads: every rebuilt
+/// unit's plan reads `G − m` survivors, spread evenly over the `C − 1`
+/// surviving disks — the paper's declustering ratio α = (G−1)/(C−1) for
+/// single parity, (G−2)/(C−1) for P+Q.
+pub fn rebuild_read_fraction(mapping: &ArrayMapping) -> f64 {
+    let reads = mapping.stripe_width() - mapping.parity_units_per_stripe();
+    reads as f64 / (mapping.disks() - 1) as f64
+}
+
+fn plan_read(plan: &mut OpPlan, m: usize, fault: FaultView<'_>) {
+    let data = plan.units[plan.target];
+    if fault.slot(data.disk).is_none() {
+        // The common case: one read from a healthy disk.
+        plan.phase1.push(PlannedIo::read(data));
+        return;
+    }
+    let rebuilt = fault.is_rebuilt(data);
+    if rebuilt && fault.reconstructing(data.disk, ReconAlgorithm::redirects_reads) {
         // Redirection of reads: the rebuilt copy (replacement disk or
         // spare slot) already holds it.
-        return OpPlan {
-            phase1: vec![PlannedIo::read(fault.live_location(data))],
-            ..OpPlan::default()
-        };
+        plan.phase1.push(PlannedIo::read(fault.live_location(data)));
+        return;
     }
-    // On-the-fly reconstruction: the stripe's other data units plus one
-    // surviving parity. With single parity that is every survivor; a P+Q
-    // stripe needs only one of its two parities for a single erasure.
-    let d = units.len() - m;
-    let mut phase1: Vec<PlannedIo> = units[..d]
-        .iter()
-        .filter(|u| u.disk != data.disk)
-        .map(|&u| PlannedIo::read(u))
-        .collect();
-    if let Some(p) = units[d..].iter().find(|u| u.disk != data.disk) {
-        phase1.push(PlannedIo::read(*p));
-    }
-    let piggyback = match fault.algorithm() {
-        Some(a) if a.piggybacks_writes() && !fault.is_rebuilt(data.offset) => Some(data.offset),
-        _ => None,
-    };
-    OpPlan {
-        phase1,
-        piggyback,
-        ..OpPlan::default()
+    // On-the-fly reconstruction from the stripe's other data units and
+    // one surviving parity per erased data unit: every survivor with
+    // single parity, one parity fewer for a P+Q stripe's single erasure.
+    let d = plan.units.len() - m;
+    let decodable = plan.push_decode_reads(d, true, fault);
+    debug_assert!(decodable, "read of an unrecoverable stripe: {plan:?}");
+    if !rebuilt && fault.reconstructing(data.disk, ReconAlgorithm::piggybacks_writes) {
+        plan.piggyback = Some(data);
     }
 }
 
-fn plan_write(
-    units: &[UnitAddr],
-    data: UnitAddr,
-    index: u16,
-    m: usize,
-    fault: FaultView<'_>,
-) -> OpPlan {
-    let g = units.len();
+fn plan_write(plan: &mut OpPlan, m: usize, partial: bool, fault: FaultView<'_>) {
+    let g = plan.units.len();
     let d = g - m;
-    let failed = fault.failed();
-    let lost = |u: UnitAddr| Some(u.disk) == failed && !fault.is_rebuilt(u.offset);
-    let data_lost = lost(data);
-    // Every reachable parity (possibly via a rebuilt copy) takes part in
-    // the write: P absorbs the XOR delta, Q the coefficient-weighted one.
-    let live_parities: Vec<UnitAddr> = units[d..]
+    let t = plan.target;
+    let data = plan.units[t];
+    let live_parities = plan.units[d..]
         .iter()
-        .filter(|&&p| !lost(p))
-        .map(|&p| fault.live_location(p))
-        .collect();
+        .filter(|&&p| !fault.is_lost(p))
+        .count();
 
-    if !data_lost {
+    if !fault.is_lost(data) {
         let data_live = fault.live_location(data);
-        if live_parities.is_empty() {
-            // There is no value in updating lost parity (Section 7): the
-            // write becomes a single data access. Reconstruction will
-            // regenerate the parity from the data units, including this
-            // new value.
-            return OpPlan {
-                phase2: vec![PlannedIo::write(data_live)],
-                ..OpPlan::default()
-            };
-        }
-        if g == 2 && m == 1 {
-            // Mirrored pair: parity is a copy of the single data unit —
-            // write both, no pre-reads.
-            return OpPlan {
-                phase2: vec![
-                    PlannedIo::write(data_live),
-                    PlannedIo::write(live_parities[0]),
-                ],
-                ..OpPlan::default()
-            };
-        }
-        if g == 3 && m == 1 && live_parities.len() == 1 {
-            // The G = 3 optimization pre-reads the *sibling* data unit,
-            // which may itself be lost — fall back to the generic RMW in
-            // that case.
-            let sibling = units[..2]
-                .iter()
-                .enumerate()
-                .find(|&(i, _)| i != index as usize)
-                .map(|(_, &u)| u)
-                .expect("a G=3 stripe has two data units");
-            if !lost(sibling) {
-                return OpPlan {
-                    phase1: vec![PlannedIo::read(fault.live_location(sibling))],
-                    phase2: vec![
-                        PlannedIo::write(data_live),
-                        PlannedIo::write(live_parities[0]),
-                    ],
-                    ..OpPlan::default()
-                };
+        if !partial {
+            if live_parities == 0 {
+                // There is no value in updating lost parity (Section 7):
+                // the write becomes a single data access. Reconstruction
+                // will regenerate the parity from the data units,
+                // including this new value.
+                plan.phase2.push(PlannedIo::write(data_live));
+                return;
+            }
+            if g == 2 && m == 1 {
+                // Mirrored pair: parity is a copy of the single data unit
+                // — write both, no pre-reads.
+                let parity = fault.live_location(plan.units[1]);
+                plan.phase2
+                    .extend([PlannedIo::write(data_live), PlannedIo::write(parity)]);
+                return;
+            }
+            if g == 3 && m == 1 && live_parities == 1 {
+                // The G = 3 optimization pre-reads the *sibling* data
+                // unit, which may itself be lost — fall back to the
+                // generic RMW in that case.
+                let sibling = plan.units[1 - t];
+                if !fault.is_lost(sibling) {
+                    let parity = fault.live_location(plan.units[2]);
+                    plan.phase1
+                        .push(PlannedIo::read(fault.live_location(sibling)));
+                    plan.phase2
+                        .extend([PlannedIo::write(data_live), PlannedIo::write(parity)]);
+                    return;
+                }
             }
         }
         // The general read-modify-write: pre-read the data unit and every
         // reachable parity, then overwrite them — 4 accesses for single
         // parity, 6 for P+Q.
-        let mut phase1 = vec![PlannedIo::read(data_live)];
-        let mut phase2 = vec![PlannedIo::write(data_live)];
-        for &p in &live_parities {
-            phase1.push(PlannedIo::read(p));
-            phase2.push(PlannedIo::write(p));
+        plan.phase1.push(PlannedIo::read(data_live));
+        plan.phase2.push(PlannedIo::write(data_live));
+        for i in d..g {
+            let p = plan.units[i];
+            if !fault.is_lost(p) {
+                let live = fault.live_location(p);
+                plan.phase1.push(PlannedIo::read(live));
+                plan.phase2.push(PlannedIo::write(live));
+            }
         }
-        return OpPlan {
-            phase1,
-            phase2,
-            ..OpPlan::default()
-        };
+        return;
     }
-    // Data is lost. Every live parity is rebuilt from the stripe's other
-    // data units (the old data cannot be pre-read).
-    let sibling_reads: Vec<PlannedIo> = units[..d]
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != index as usize)
-        .map(|(_, &u)| PlannedIo::read(u))
-        .collect();
-    let direct = fault.algorithm().is_some_and(|a| a.writes_to_replacement());
-    let mut phase2: Vec<PlannedIo> = live_parities.iter().map(|&p| PlannedIo::write(p)).collect();
-    let mut mark_rebuilt = None;
-    if direct {
+    // Data is lost: every live parity is recomputed from the stripe's data
+    // with the new value in place. The other data units are read; the old
+    // image of the target is decoded too when a partial write needs it or
+    // when another data unit is also lost (the old image then sits in the
+    // parity equations that recover the other unit).
+    let others_lost = (0..d).any(|i| i != t && fault.is_lost(plan.units[i]));
+    let decodable = plan.push_decode_reads(d, partial || others_lost, fault);
+    debug_assert!(decodable, "write to an unrecoverable stripe: {plan:?}");
+    for i in d..g {
+        let p = plan.units[i];
+        if !fault.is_lost(p) {
+            plan.phase2.push(PlannedIo::write(fault.live_location(p)));
+        }
+    }
+    if fault.reconstructing(data.disk, ReconAlgorithm::writes_to_replacement) {
         // Send the new data straight to its repair location (replacement
         // disk or spare slot), rebuilding that unit as a side effect.
-        phase2.push(PlannedIo::write(fault.repair_location(data)));
-        mark_rebuilt = Some(data.offset);
+        plan.phase2
+            .push(PlannedIo::write(fault.repair_location(data)));
+        plan.mark_rebuilt = Some(data);
     }
-    // Otherwise: fold into parity only — the data unit is regenerated later
-    // by the reconstruction sweep.
-    OpPlan {
-        phase1: sibling_reads,
-        phase2,
-        mark_rebuilt,
-        ..OpPlan::default()
-    }
+    // Otherwise: fold into parity only — the data unit is regenerated
+    // later by the reconstruction sweep.
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use decluster_core::design::BlockDesign;
-    use decluster_core::layout::{DeclusteredLayout, ParityLayout, Raid5Layout};
+    use decluster_core::layout::{DeclusteredLayout, ParityLayout, PqLayout, Raid5Layout};
     use std::sync::Arc;
 
     fn mapping(g: u16) -> ArrayMapping {
@@ -361,7 +501,7 @@ mod tests {
     #[test]
     fn fault_free_read_is_one_access() {
         let m = mapping(4);
-        let p = plan_user_access(&m, AccessKind::Read, 17, FaultView::FaultFree);
+        let p = plan_user_access(&m, AccessKind::Read, 17, FaultView::FAULT_FREE);
         assert_eq!(p.accesses(), 1);
         assert_eq!(p.phase1.len(), 1);
         assert_eq!(p.phase1[0].kind, IoKind::Read);
@@ -371,7 +511,7 @@ mod tests {
     #[test]
     fn fault_free_write_is_four_accesses() {
         let m = mapping(4);
-        let p = plan_user_access(&m, AccessKind::Write, 17, FaultView::FaultFree);
+        let p = plan_user_access(&m, AccessKind::Write, 17, FaultView::FAULT_FREE);
         assert_eq!(p.accesses(), 4);
         assert_eq!(p.phase1.len(), 2);
         assert!(p.phase1.iter().all(|io| io.kind == IoKind::Read));
@@ -388,7 +528,7 @@ mod tests {
     #[test]
     fn g3_write_is_three_accesses() {
         let m = mapping(3);
-        let p = plan_user_access(&m, AccessKind::Write, 5, FaultView::FaultFree);
+        let p = plan_user_access(&m, AccessKind::Write, 5, FaultView::FAULT_FREE);
         assert_eq!(p.accesses(), 3, "{p:?}");
         assert_eq!(p.phase1.len(), 1);
         assert_eq!(p.phase1[0].kind, IoKind::Read);
@@ -418,26 +558,21 @@ mod tests {
                 data.disk != failed && parity.disk != failed && sibling.disk == failed
             })
             .expect("some stripe has exactly its sibling on disk 0");
-        let p = plan_user_access(
-            &m,
-            AccessKind::Write,
-            logical,
-            FaultView::Degraded { failed },
-        );
+        let p = plan_user_access(&m, AccessKind::Write, logical, FaultView::degraded(failed));
         assert_eq!(p.accesses(), 4, "{p:?}");
         assert!(
             p.phase1.iter().chain(&p.phase2).all(|io| io.disk != failed),
             "plan touches the dead disk: {p:?}"
         );
         // Sanity: with a healthy sibling the 3-access optimization remains.
-        let healthy = plan_user_access(&m, AccessKind::Write, logical, FaultView::FaultFree);
+        let healthy = plan_user_access(&m, AccessKind::Write, logical, FaultView::FAULT_FREE);
         assert_eq!(healthy.accesses(), 3);
     }
 
     #[test]
     fn mirror_write_is_two_parallel_writes() {
         let m = mapping(2);
-        let p = plan_user_access(&m, AccessKind::Write, 3, FaultView::FaultFree);
+        let p = plan_user_access(&m, AccessKind::Write, 3, FaultView::FAULT_FREE);
         assert_eq!(p.accesses(), 2);
         // Normalization: with no pre-reads the writes go out immediately.
         assert_eq!(p.phase1.len(), 2);
@@ -466,7 +601,7 @@ mod tests {
     fn degraded_read_fans_out_to_survivors() {
         let m = mapping(4);
         let l = logical_on_disk(&m, 2);
-        let p = plan_user_access(&m, AccessKind::Read, l, FaultView::Degraded { failed: 2 });
+        let p = plan_user_access(&m, AccessKind::Read, l, FaultView::degraded(2));
         // G−1 = 3 survivor reads, no phase 2.
         assert_eq!(p.phase1.len(), 3);
         assert!(p
@@ -481,7 +616,7 @@ mod tests {
     fn degraded_read_of_healthy_unit_is_normal() {
         let m = mapping(4);
         let l = logical_on_disk(&m, 1);
-        let p = plan_user_access(&m, AccessKind::Read, l, FaultView::Degraded { failed: 2 });
+        let p = plan_user_access(&m, AccessKind::Read, l, FaultView::degraded(2));
         assert_eq!(p.accesses(), 1);
     }
 
@@ -489,7 +624,7 @@ mod tests {
     fn degraded_write_with_lost_parity_is_single_access() {
         let m = mapping(4);
         let l = logical_with_parity_on(&m, 3);
-        let p = plan_user_access(&m, AccessKind::Write, l, FaultView::Degraded { failed: 3 });
+        let p = plan_user_access(&m, AccessKind::Write, l, FaultView::degraded(3));
         assert_eq!(p.accesses(), 1, "{p:?}");
         assert_eq!(p.phase1[0].kind, IoKind::Write);
         assert_ne!(p.phase1[0].disk, 3);
@@ -499,7 +634,7 @@ mod tests {
     fn degraded_write_of_lost_data_folds_into_parity() {
         let m = mapping(4);
         let l = logical_on_disk(&m, 0);
-        let p = plan_user_access(&m, AccessKind::Write, l, FaultView::Degraded { failed: 0 });
+        let p = plan_user_access(&m, AccessKind::Write, l, FaultView::degraded(0));
         // G−2 = 2 sibling reads, then the parity write. No access to disk 0.
         assert_eq!(p.phase1.len(), 2);
         assert!(p.phase1.iter().all(|io| io.kind == IoKind::Read));
@@ -514,18 +649,12 @@ mod tests {
         let m = mapping(4);
         let rebuilt = vec![false; 200];
         let l = logical_on_disk(&m, 0);
-        let degraded =
-            plan_user_access(&m, AccessKind::Write, l, FaultView::Degraded { failed: 0 });
+        let degraded = plan_user_access(&m, AccessKind::Write, l, FaultView::degraded(0));
         let baseline = plan_user_access(
             &m,
             AccessKind::Write,
             l,
-            FaultView::Rebuilding {
-                failed: 0,
-                algorithm: ReconAlgorithm::Baseline,
-                rebuilt: &rebuilt,
-                spares: None,
-            },
+            FaultView::rebuilding(0, ReconAlgorithm::Baseline, &rebuilt, None),
         );
         assert_eq!(degraded, baseline);
     }
@@ -540,12 +669,7 @@ mod tests {
             &m,
             AccessKind::Write,
             l,
-            FaultView::Rebuilding {
-                failed: 0,
-                algorithm: ReconAlgorithm::UserWrites,
-                rebuilt: &rebuilt,
-                spares: None,
-            },
+            FaultView::rebuilding(0, ReconAlgorithm::UserWrites, &rebuilt, None),
         );
         // Sibling reads, then parity write + replacement data write.
         assert_eq!(p.phase1.len(), 2);
@@ -554,7 +678,7 @@ mod tests {
             .phase2
             .iter()
             .any(|io| io.disk == 0 && io.offset == addr.offset));
-        assert_eq!(p.mark_rebuilt, Some(addr.offset));
+        assert_eq!(p.mark_rebuilt, Some(addr));
     }
 
     #[test]
@@ -568,12 +692,7 @@ mod tests {
             &m,
             AccessKind::Read,
             l,
-            FaultView::Rebuilding {
-                failed: 0,
-                algorithm: ReconAlgorithm::Redirect,
-                rebuilt: &rebuilt,
-                spares: None,
-            },
+            FaultView::rebuilding(0, ReconAlgorithm::Redirect, &rebuilt, None),
         );
         assert_eq!(redirected.accesses(), 1);
         assert_eq!(redirected.phase1[0].disk, 0);
@@ -582,12 +701,7 @@ mod tests {
             &m,
             AccessKind::Read,
             l,
-            FaultView::Rebuilding {
-                failed: 0,
-                algorithm: ReconAlgorithm::UserWrites,
-                rebuilt: &rebuilt,
-                spares: None,
-            },
+            FaultView::rebuilding(0, ReconAlgorithm::UserWrites, &rebuilt, None),
         );
         assert_eq!(not_redirected.phase1.len(), 3);
     }
@@ -602,15 +716,10 @@ mod tests {
             &m,
             AccessKind::Read,
             l,
-            FaultView::Rebuilding {
-                failed: 0,
-                algorithm: ReconAlgorithm::RedirectPiggyback,
-                rebuilt: &rebuilt,
-                spares: None,
-            },
+            FaultView::rebuilding(0, ReconAlgorithm::RedirectPiggyback, &rebuilt, None),
         );
         assert_eq!(p.phase1.len(), 3);
-        assert_eq!(p.piggyback, Some(addr.offset));
+        assert_eq!(p.piggyback, Some(addr));
     }
 
     #[test]
@@ -624,12 +733,7 @@ mod tests {
             &m,
             AccessKind::Write,
             l,
-            FaultView::Rebuilding {
-                failed: 0,
-                algorithm: ReconAlgorithm::UserWrites,
-                rebuilt: &rebuilt,
-                spares: None,
-            },
+            FaultView::rebuilding(0, ReconAlgorithm::UserWrites, &rebuilt, None),
         );
         assert_eq!(p.accesses(), 4);
         // Data half of the RMW addresses the replacement (disk 0).
@@ -650,21 +754,122 @@ mod tests {
             &m,
             AccessKind::Write,
             l,
-            FaultView::Rebuilding {
-                failed: 3,
-                algorithm: ReconAlgorithm::Redirect,
-                rebuilt: &rebuilt,
-                spares: None,
-            },
+            FaultView::rebuilding(3, ReconAlgorithm::Redirect, &rebuilt, None),
         );
         assert_eq!(p.accesses(), 4);
+    }
+
+    fn pq_mapping() -> ArrayMapping {
+        let layout = PqLayout::new(BlockDesign::complete(6, 5).unwrap()).unwrap();
+        ArrayMapping::new(Arc::new(layout), 200).unwrap()
+    }
+
+    #[test]
+    fn partial_write_keeps_the_old_image() {
+        // A lost unit: the partial write also reads a parity to decode
+        // the bytes it keeps; the full write reads only the G − 2
+        // siblings. Both write the same parity.
+        let m = mapping(4);
+        let l = logical_on_disk(&m, 0);
+        let full = plan_user_access(&m, AccessKind::Write, l, FaultView::degraded(0));
+        let mut partial = OpPlan::default();
+        plan_user_access_into(
+            &m,
+            Access::PartialWrite,
+            l,
+            FaultView::degraded(0),
+            &mut partial,
+        );
+        assert_eq!(full.phase1.len(), 2, "{full:?}");
+        assert_eq!(partial.phase1.len(), 3, "{partial:?}");
+        assert_eq!(partial.phase2, full.phase2);
+        // The G = 3 shortcut skips the old image, so a partial write is
+        // the full read-modify-write.
+        plan_user_access_into(
+            &mapping(3),
+            Access::PartialWrite,
+            5,
+            FaultView::FAULT_FREE,
+            &mut partial,
+        );
+        assert_eq!(partial.accesses(), 4);
+    }
+
+    #[test]
+    fn pq_double_erasure_read_uses_both_parities() {
+        let m = pq_mapping();
+        let l = 7;
+        let (stripe, index) = m.logical_to_stripe(l);
+        let units = m.stripe_units(stripe);
+        let (a, b) = (
+            units[index as usize].disk,
+            units[(index as usize + 1) % 3].disk,
+        );
+        let p = plan_user_access(
+            &m,
+            AccessKind::Read,
+            l,
+            FaultView::degraded(a).with_failed(b, None),
+        );
+        // The one live data unit, P and Q: never a failed disk.
+        let mut read: Vec<UnitAddr> = p
+            .reads()
+            .map(|io| UnitAddr::new(io.disk, io.offset))
+            .collect();
+        read.sort_unstable_by_key(|u| u.disk);
+        let mut expect: Vec<UnitAddr> = units
+            .iter()
+            .copied()
+            .filter(|u| u.disk != a && u.disk != b)
+            .collect();
+        expect.sort_unstable_by_key(|u| u.disk);
+        assert_eq!(read, expect);
+    }
+
+    #[test]
+    fn pq_rebuild_reads_g_minus_two_and_installs_every_lost_unit() {
+        let m = pq_mapping();
+        let rebuilt = vec![false; 200];
+        let both = FaultView::FAULT_FREE
+            .with_algorithm(ReconAlgorithm::Redirect)
+            .with_failed(0, Some(&rebuilt))
+            .with_failed(1, Some(&rebuilt));
+        let mut plan = OpPlan::default();
+        let mut shared = 0;
+        for offset in 0..m.units_per_disk() {
+            let addr = UnitAddr::new(0, offset);
+            let Some(stripe) = m.role_at(0, offset).stripe() else {
+                continue;
+            };
+            // One failure: G − m = 3 survivor reads, one write.
+            assert!(plan_rebuild_unit_into(
+                &m,
+                addr,
+                FaultView::degraded(0),
+                &mut plan
+            ));
+            assert_eq!(plan.reads().count(), 3, "{plan:?}");
+            assert!(plan.reads().all(|io| io.disk != 0));
+            assert_eq!(plan.phase2, vec![PlannedIo::write(addr)]);
+            // Two failures sharing the stripe: the same read count
+            // recovers both, and both are written.
+            if m.stripe_units(stripe).iter().any(|u| u.disk == 1) {
+                shared += 1;
+                assert!(plan_rebuild_unit_into(&m, addr, both, &mut plan));
+                assert_eq!(plan.reads().count(), 3, "{plan:?}");
+                let written: Vec<u16> = plan.writes().map(|io| io.disk).collect();
+                assert_eq!(written.len(), 2);
+                assert!(written.contains(&0) && written.contains(&1));
+            }
+        }
+        assert!(shared > 0);
     }
 
     #[test]
     fn raid5_degraded_read_uses_all_survivors() {
         let m = raid5_mapping(5);
         let l = logical_on_disk(&m, 4);
-        let p = plan_user_access(&m, AccessKind::Read, l, FaultView::Degraded { failed: 4 });
+        let p = plan_user_access(&m, AccessKind::Read, l, FaultView::degraded(4));
         // α = 1: every surviving disk participates.
         assert_eq!(p.phase1.len(), 4);
         let disks: std::collections::HashSet<u16> = p.phase1.iter().map(|io| io.disk).collect();

@@ -2,7 +2,7 @@
 
 use crate::config::ArrayConfig;
 use crate::loss::assess_second_failure;
-use crate::plan::{plan_user_access_with, FaultView, PlannedIo};
+use crate::plan::{plan_rebuild_unit_into, plan_user_access_into, FaultView, OpPlan, PlannedIo};
 use crate::report::{
     CrashReport, CycleStats, DataLossReport, LossCause, LostStripe, OpStats, ReconReport,
     RunReport, ScrubReport,
@@ -48,7 +48,7 @@ enum Event {
 
 /// One in-flight operation (user access, reconstruction cycle, or
 /// background piggyback write).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Op {
     /// `Some` for user accesses: kind and arrival time.
     user: Option<(AccessKind, SimTime)>,
@@ -326,8 +326,10 @@ pub struct ArraySim<P: Probe = NoProbe> {
     crash: Option<CrashReport>,
     /// Scratch for stripe unit addresses, reused across events.
     scratch_units: Vec<UnitAddr>,
-    /// Scratch for planned ios (reconstruction cycles), reused across
-    /// events.
+    /// Scratch plan for single-unit accesses and reconstruction cycles,
+    /// reused across events.
+    scratch_plan: OpPlan,
+    /// Scratch for scrub-cycle reads, reused across events.
     scratch_ios: Vec<PlannedIo>,
     events_processed: u64,
     // Measurement.
@@ -546,6 +548,7 @@ impl<P: Probe> ArraySim<P> {
             crash_plan: None,
             crash: None,
             scratch_units: Vec::new(),
+            scratch_plan: OpPlan::default(),
             scratch_ios: Vec::new(),
             events_processed: 0,
             measure_from: SimTime::ZERO,
@@ -1090,25 +1093,7 @@ impl<P: Probe> ArraySim<P> {
                         .map(|p| self.parents.get(p).expect("parent alive").0)
                 })
                 .expect("user spans carry a kind");
-            let plan = self.plan_one(kind, start);
-            let replacement = Op {
-                user: op.user,
-                outstanding: 0,
-                phase2: plan.phase2,
-                mark_rebuilt: plan.mark_rebuilt,
-                piggyback: plan.piggyback,
-                recon: None,
-                background: false,
-                parent: op.parent,
-                span: op.span,
-                aborted: false,
-                lost_cycle: false,
-                scrub: None,
-                writing: false,
-                phase_size: 0,
-            };
-            let new_id = self.insert_op(replacement);
-            self.issue(new_id, &plan.phase1, now);
+            self.launch_unit(kind, start, op.user, op.parent, now);
         } else {
             let parent_id = op.parent.expect("multi-unit spans have parents");
             let kind = self.parents.get(parent_id).expect("parent alive").0;
@@ -1116,37 +1101,50 @@ impl<P: Probe> ArraySim<P> {
             // The aborted sub-plan is replaced by possibly several plans.
             self.parents.get_mut(parent_id).expect("parent alive").2 +=
                 extent.plans.len() as u32 - 1;
-            for (plan, span) in extent.plans.into_iter().zip(extent.spans) {
-                let sub = Op {
-                    user: None,
-                    outstanding: 0,
-                    phase2: plan.phase2,
-                    mark_rebuilt: plan.mark_rebuilt,
-                    piggyback: plan.piggyback,
-                    recon: None,
-                    background: false,
-                    parent: Some(parent_id),
-                    span: Some(span),
-                    aborted: false,
-                    lost_cycle: false,
-                    scrub: None,
-                    writing: false,
-                    phase_size: 0,
-                };
-                let new_id = self.insert_op(sub);
-                self.issue(new_id, &plan.phase1, now);
+            for (mut plan, span) in extent.plans.into_iter().zip(extent.spans) {
+                self.launch_plan(&mut plan, None, Some(parent_id), span, now);
             }
         }
     }
 
-    /// Plans one single-unit user access with the reusable scratch buffer
+    /// Plans one single-unit user access into the reusable scratch plan
     /// (taken out for the call because the planner also borrows the fault
-    /// state).
-    fn plan_one(&mut self, kind: AccessKind, logical: u64) -> crate::plan::OpPlan {
-        let mut units = std::mem::take(&mut self.scratch_units);
-        let plan = plan_user_access_with(&self.mapping, kind, logical, self.view(), &mut units);
-        self.scratch_units = units;
-        plan
+    /// state) and launches it.
+    fn launch_unit(
+        &mut self,
+        kind: AccessKind,
+        logical: u64,
+        user: Option<(AccessKind, SimTime)>,
+        parent: Option<u32>,
+        now: SimTime,
+    ) {
+        let mut plan = std::mem::take(&mut self.scratch_plan);
+        plan_user_access_into(&self.mapping, kind.into(), logical, self.view(), &mut plan);
+        self.launch_plan(&mut plan, user, parent, (logical, 1), now);
+        self.scratch_plan = plan;
+    }
+
+    /// Launches a user (sub-)plan covering `span` as an op: phase 1 goes
+    /// to the disks now, phase 2 moves into the op until phase 1 drains.
+    fn launch_plan(
+        &mut self,
+        plan: &mut OpPlan,
+        user: Option<(AccessKind, SimTime)>,
+        parent: Option<u32>,
+        span: (u64, u64),
+        now: SimTime,
+    ) {
+        let op = Op {
+            user,
+            phase2: std::mem::take(&mut plan.phase2),
+            mark_rebuilt: plan.mark_rebuilt.map(|a| a.offset),
+            piggyback: plan.piggyback.map(|a| a.offset),
+            parent,
+            span: Some(span),
+            ..Op::default()
+        };
+        let op_id = self.insert_op(op);
+        self.issue(op_id, &plan.phase1, now);
     }
 
     fn schedule_next_arrival(&mut self) {
@@ -1169,25 +1167,7 @@ impl<P: Probe> ArraySim<P> {
         self.requests_issued += 1;
         self.user_inflight += 1;
         if req.units == 1 {
-            let plan = self.plan_one(req.kind, req.logical_unit);
-            let op = Op {
-                user: Some((req.kind, now)),
-                outstanding: 0,
-                phase2: plan.phase2,
-                mark_rebuilt: plan.mark_rebuilt,
-                piggyback: plan.piggyback,
-                recon: None,
-                background: false,
-                parent: None,
-                span: Some((req.logical_unit, 1)),
-                aborted: false,
-                lost_cycle: false,
-                scrub: None,
-                writing: false,
-                phase_size: 0,
-            };
-            let op_id = self.insert_op(op);
-            self.issue(op_id, &plan.phase1, now);
+            self.launch_unit(req.kind, req.logical_unit, Some((req.kind, now)), None, now);
         } else {
             // Multi-unit access: the extent planner may merge fully covered
             // stripes into single large writes (criterion 5); the request
@@ -1202,25 +1182,8 @@ impl<P: Probe> ArraySim<P> {
             let parent_id = self
                 .parents
                 .insert((req.kind, now, extent.plans.len() as u32));
-            for (plan, span) in extent.plans.into_iter().zip(extent.spans) {
-                let op = Op {
-                    user: None,
-                    outstanding: 0,
-                    phase2: plan.phase2,
-                    mark_rebuilt: plan.mark_rebuilt,
-                    piggyback: plan.piggyback,
-                    recon: None,
-                    background: false,
-                    parent: Some(parent_id),
-                    span: Some(span),
-                    aborted: false,
-                    lost_cycle: false,
-                    scrub: None,
-                    writing: false,
-                    phase_size: 0,
-                };
-                let op_id = self.insert_op(op);
-                self.issue(op_id, &plan.phase1, now);
+            for (mut plan, span) in extent.plans.into_iter().zip(extent.spans) {
+                self.launch_plan(&mut plan, None, Some(parent_id), span, now);
             }
         }
         self.schedule_next_arrival();
@@ -1270,11 +1233,8 @@ impl<P: Probe> ArraySim<P> {
             // already missing a unit there is nothing to rebuild from —
             // the loss is recorded below.
             if !unrecoverable {
-                op.phase2.push(PlannedIo {
-                    disk,
-                    offset,
-                    kind: IoKind::Write,
-                });
+                op.phase2
+                    .push(PlannedIo::write(UnitAddr::new(disk, offset)));
                 repaired = true;
             }
         } else if op.recon.is_some() {
@@ -1315,27 +1275,17 @@ impl<P: Probe> ArraySim<P> {
     /// mapped space.
     fn assess_media_error(&mut self, disk: u16, offset: u64) -> Option<(u64, u16, u16)> {
         let stripe = self.mapping.role_at(disk, offset).stripe()?;
-        let (first, rebuilt) = match &self.fault {
-            Fault::None => (None, None),
-            Fault::Degraded { failed } => (Some(*failed), None),
-            Fault::Rebuilding(r) => (Some(r.failed), Some(r.rebuilt.as_slice())),
-        };
         let mut units = std::mem::take(&mut self.scratch_units);
         units.clear();
         self.mapping.stripe_units_into(stripe, &mut units);
         // Parity units are ordered last; a stripe survives as long as
         // its unavailable units stay within that parity count.
         let first_parity = units.len() - self.mapping.parity_units_per_stripe() as usize;
+        let view = self.view();
         let mut data = 0u16;
         let mut parity = 0u16;
         for (i, &u) in units.iter().enumerate() {
-            let gone = (u.disk == disk && u.offset == offset)
-                || (Some(u.disk) == first
-                    && match rebuilt {
-                        Some(r) => !r[u.offset as usize],
-                        None => true,
-                    });
-            if gone {
+            if u == UnitAddr::new(disk, offset) || view.is_lost(u) {
                 if i >= first_parity {
                     parity += 1;
                 } else {
@@ -1375,8 +1325,14 @@ impl<P: Probe> ArraySim<P> {
             if let Some(rc) = &mut op.recon {
                 rc.read_done = Some(now);
             }
-            let ios = std::mem::take(&mut op.phase2);
+            let mut ios = std::mem::take(&mut op.phase2);
             self.issue(op_id, &ios, now);
+            // Hand the emptied buffer back to the scratch plan, whose own
+            // phase 2 moved into an op: planning stays allocation-free.
+            if self.scratch_plan.phase2.capacity() == 0 {
+                ios.clear();
+                self.scratch_plan.phase2 = ios;
+            }
             return;
         }
         // Fully complete.
@@ -1494,14 +1450,11 @@ impl<P: Probe> ArraySim<P> {
 
     fn view(&self) -> FaultView<'_> {
         match &self.fault {
-            Fault::None => FaultView::FaultFree,
-            Fault::Degraded { failed } => FaultView::Degraded { failed: *failed },
-            Fault::Rebuilding(r) => FaultView::Rebuilding {
-                failed: r.failed,
-                algorithm: r.algorithm,
-                rebuilt: &r.rebuilt,
-                spares: r.spares.as_ref(),
-            },
+            Fault::None => FaultView::FAULT_FREE,
+            Fault::Degraded { failed } => FaultView::degraded(*failed),
+            Fault::Rebuilding(r) => {
+                FaultView::rebuilding(r.failed, r.algorithm, &r.rebuilt, r.spares.as_ref())
+            }
         }
     }
 
@@ -1537,34 +1490,16 @@ impl<P: Probe> ArraySim<P> {
 
     fn spawn_piggyback_write(&mut self, offset: u64, now: SimTime) {
         let target = match &self.fault {
-            Fault::Rebuilding(r) if !r.rebuilt[offset as usize] => match &r.spares {
-                Some(spares) => spares
-                    .spare_of(offset)
-                    .expect("piggybacked offsets are mapped"),
-                None => UnitAddr::new(r.failed, offset),
-            },
+            Fault::Rebuilding(r) if !r.rebuilt[offset as usize] => {
+                self.view().repair_location(UnitAddr::new(r.failed, offset))
+            }
             _ => return, // already rebuilt meanwhile — skip the write
         };
-        let io = PlannedIo {
-            disk: target.disk,
-            offset: target.offset,
-            kind: IoKind::Write,
-        };
+        let io = PlannedIo::write(target);
         let op = Op {
-            user: None,
-            outstanding: 0,
-            phase2: Vec::new(),
             mark_rebuilt: Some(offset),
-            piggyback: None,
-            recon: None,
             background: true,
-            parent: None,
-            span: None,
-            aborted: false,
-            lost_cycle: false,
-            scrub: None,
-            writing: false,
-            phase_size: 0,
+            ..Op::default()
         };
         let op_id = self.insert_op(op);
         self.issue(op_id, &[io], now);
@@ -1573,7 +1508,7 @@ impl<P: Probe> ArraySim<P> {
     /// Claims the next unreconstructed offset and launches its cycle; the
     /// process goes idle when the sweep cursor reaches the end of the disk.
     fn start_recon_cycle(&mut self, process: usize, now: SimTime) {
-        let (failed, offset, stripe) = {
+        let (failed, offset) = {
             let r = match &mut self.fault {
                 Fault::Rebuilding(r) => r,
                 _ => return,
@@ -1586,75 +1521,39 @@ impl<P: Probe> ArraySim<P> {
                 if r.rebuilt[offset as usize] {
                     continue;
                 }
-                match self.mapping.role_at(r.failed, offset).stripe() {
-                    Some(stripe) => {
-                        claimed = Some((r.failed, offset, stripe));
-                        break;
-                    }
-                    None => continue, // unmapped hole
+                if self.mapping.role_at(r.failed, offset).stripe().is_some() {
+                    claimed = Some((r.failed, offset));
+                    break;
                 }
+                // Otherwise an unmapped hole.
             }
             match claimed {
                 Some(c) => c,
                 None => return, // sweep finished; stragglers arrive via user marks
             }
         };
-        let mut units = std::mem::take(&mut self.scratch_units);
-        let mut phase1 = std::mem::take(&mut self.scratch_ios);
-        units.clear();
-        phase1.clear();
-        self.mapping.stripe_units_into(stripe, &mut units);
-        phase1.extend(
-            units
-                .iter()
-                .filter(|u| u.disk != failed)
-                .map(|&u| PlannedIo {
-                    disk: u.disk,
-                    offset: u.offset,
-                    kind: IoKind::Read,
-                }),
+        let mut plan = std::mem::take(&mut self.scratch_plan);
+        let planned = plan_rebuild_unit_into(
+            &self.mapping,
+            UnitAddr::new(failed, offset),
+            self.view(),
+            &mut plan,
         );
-        let write_target = match &self.fault {
-            Fault::Rebuilding(r) => match &r.spares {
-                Some(spares) => {
-                    let addr = spares.spare_of(offset).expect("claimed offsets are mapped");
-                    (addr.disk, addr.offset)
-                }
-                None => (failed, offset),
-            },
-            _ => unreachable!("recon cycle outside rebuilding state"),
-        };
-        let phase2 = vec![PlannedIo {
-            disk: write_target.0,
-            offset: write_target.1,
-            kind: IoKind::Write,
-        }];
+        debug_assert!(planned, "claimed offset {offset} has no rebuild plan");
         let op = Op {
-            user: None,
-            outstanding: 0,
-            phase2,
+            phase2: std::mem::take(&mut plan.phase2),
             mark_rebuilt: Some(offset),
-            piggyback: None,
             recon: Some(ReconCycle {
                 process,
                 started: now,
                 read_done: None,
             }),
             background: true,
-            parent: None,
-            span: None,
-            aborted: false,
-            lost_cycle: false,
-            scrub: None,
-            writing: false,
-            phase_size: 0,
+            ..Op::default()
         };
         let op_id = self.insert_op(op);
-        self.issue(op_id, &phase1, now);
-        units.clear();
-        phase1.clear();
-        self.scratch_units = units;
-        self.scratch_ios = phase1;
+        self.issue(op_id, &plan.phase1, now);
+        self.scratch_plan = plan;
     }
 
     fn finish_recon_cycle(&mut self, rc: ReconCycle, now: SimTime) {
@@ -1758,31 +1657,16 @@ impl<P: Probe> ArraySim<P> {
             units
                 .iter()
                 .filter(|u| Some(u.disk) != skip)
-                .map(|&u| PlannedIo {
-                    disk: u.disk,
-                    offset: u.offset,
-                    kind: IoKind::Read,
-                }),
+                .map(|&u| PlannedIo::read(u)),
         );
         if !phase1.is_empty() {
             let scrub = self.scrub.as_mut().expect("scrub cycle without scrubber");
             scrub.active += 1;
             scrub.report.units_read += phase1.len() as u64;
             let op = Op {
-                user: None,
-                outstanding: 0,
-                phase2: Vec::new(),
-                mark_rebuilt: None,
-                piggyback: None,
-                recon: None,
                 background: true,
-                parent: None,
-                span: None,
-                aborted: false,
-                lost_cycle: false,
                 scrub: Some((stripe, now)),
-                writing: false,
-                phase_size: 0,
+                ..Op::default()
             };
             let op_id = self.insert_op(op);
             self.issue(op_id, &phase1, now);

@@ -5,7 +5,8 @@
 //! declustered layouts, timing simulation, Monte Carlo campaigns. This
 //! crate *runs* it: one backing file per disk, a superblock naming the
 //! layout, and a [`BlockStore`] that routes a flat block address space
-//! through [`decluster_core::layout::ArrayMapping`] with
+//! through [`decluster_core::layout::ArrayMapping`], executing the
+//! striping driver's plans (`decluster_array::plan`) for
 //! read-modify-write parity maintenance, on-the-fly degraded
 //! reconstruction, online rebuild to a spare (with per-disk I/O
 //! counters that surface the paper's α = (G−1)/(C−1) rebuild read
@@ -41,7 +42,7 @@ pub use health::FaultCounters;
 pub use pool::StorePool;
 pub use repair::ScrubReport;
 pub use stats::{DiskStats, StoreStats};
-pub use store::{BackendFactory, BlockStore, DiskCounters, RebuildReport};
+pub use store::{BackendFactory, BlockStore, DiskCounters, RebuildReport, RECON_ALGORITHM};
 pub use superblock::{
     LayoutSpec, Superblock, BLOCK_BYTES, SUPERBLOCK_BYTES, VERSION, VERSION_NO_CHECKSUMS,
     VERSION_TAGGED,

@@ -9,8 +9,8 @@
 //! 2. on an `EIO`-class failure, retry with backoff (transient faults
 //!    resolve here); a checksum mismatch skips retry — the bytes came
 //!    back "successfully" wrong and rereading cannot help;
-//! 3. reconstruct the unit from the stripe's other members and write
-//!    it back (read-repair: clears persistent bad sectors, refreshes
+//! 3. reconstruct the unit from the stripe's other members (the
+//!    planner's rebuild-unit plan) and write it back (read-repair: clears persistent bad sectors, refreshes
 //!    the checksum slot);
 //! 4. if the stripe's redundancy is already spent — a member lost, a
 //!    peer faulty, the store read-only — escalate the original error
@@ -22,8 +22,8 @@
 //! fault plan's injection counters.
 
 use crate::error::{MediaKind, Result, StoreError};
-use crate::pool::lock;
-use crate::store::BlockStore;
+use crate::store::{with_plan, BlockStore};
+use decluster_array::plan::plan_rebuild_unit_into;
 use decluster_core::layout::UnitAddr;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -118,46 +118,30 @@ impl BlockStore {
         self.repair_unit(addr, out, last)
     }
 
-    /// Read-repair: reconstructs the unit at `addr` from the XOR of
-    /// its stripe peers and writes it back (clearing a persistent bad
-    /// sector, refreshing the checksum slot). Escalates `cause` when
-    /// the stripe has no redundancy left to repair from.
+    /// Read-repair: reconstructs the unit at `addr` by the planner's
+    /// rebuild-unit plan and writes it back (clearing a persistent bad
+    /// sector, refreshing the checksum slot). Escalates `cause` when the
+    /// stripe has no redundancy left to repair from: the unit is
+    /// unmapped, more members are gone than the parity recovers, or a
+    /// peer read fails too (a double fault).
     pub(crate) fn repair_unit(
         &self,
         addr: UnitAddr,
         out: &mut [u8],
         cause: StoreError,
     ) -> Result<()> {
-        let stripe = self.mapping.role_at(addr.disk, addr.offset).stripe();
-        let repairable = stripe.is_some() && !self.read_only();
-        let Some(stripe) = stripe.filter(|_| repairable) else {
-            self.health.note_escalated();
-            return Err(cause);
-        };
-        let units = self.mapping.stripe_units(stripe);
-        let Some(pos) = units.iter().position(|u| u.disk == addr.disk) else {
-            self.health.note_escalated();
-            return Err(cause);
-        };
-        let lost = self.lost_flags(&units);
-        let erased = lost
-            .iter()
-            .enumerate()
-            .filter(|&(i, &l)| l && i != pos)
-            .count();
-        if erased + 1 > self.parity_units() as usize {
-            // Beyond the stripe's fault budget: counting the bad unit,
-            // more members are gone than the parity can recover.
-            self.health.note_escalated();
-            return Err(cause);
-        }
-        let peers_read = match self.reconstruct_unit(&units, &lost, pos, out, false) {
-            Ok(reads) => reads,
-            // A faulty peer while repairing: double fault.
-            Err(_) => {
-                self.health.note_escalated();
-                return Err(cause);
+        let peers_read = with_plan(|plan| {
+            let planned = !self.read_only()
+                && self.plan_with(|fault| plan_rebuild_unit_into(&self.mapping, addr, fault, plan));
+            if !planned {
+                return None;
             }
+            self.unit_into(&self.decoded(plan, false).ok()?, plan.target, out);
+            Some(plan.reads().count() as u64)
+        });
+        let Some(peers_read) = peers_read else {
+            self.health.note_escalated();
+            return Err(cause);
         };
         if let Err(e) = self.disks[addr.disk as usize].write_unit(addr.offset, out) {
             self.health.note_escalated();
@@ -172,12 +156,7 @@ impl BlockStore {
     /// (the paper's redirection of reads, repurposed as a tail-latency
     /// defense). First clean result wins. The caller holds the stripe
     /// lock, so the stripe cannot change under either leg.
-    pub(crate) fn read_unit_hedged(
-        &self,
-        stripe: u64,
-        addr: UnitAddr,
-        out: &mut [u8],
-    ) -> Result<()> {
+    pub(crate) fn read_unit_hedged(&self, addr: UnitAddr, out: &mut [u8]) -> Result<()> {
         self.health.note_hedged_read();
         let primary = Arc::clone(&self.disks[addr.disk as usize]);
         let (tx, rx) = mpsc::channel();
@@ -192,16 +171,13 @@ impl BlockStore {
                 .map(|()| buf);
             let _ = tx.send((res, started.elapsed()));
         });
-        let reconstructed = (|| -> Result<()> {
-            let units = self.mapping.stripe_units(stripe);
-            let pos = units
-                .iter()
-                .position(|u| u.disk == addr.disk)
-                .ok_or_else(|| StoreError::state("hedged unit not in its stripe".to_string()))?;
-            let lost = vec![false; units.len()];
-            self.reconstruct_unit(&units, &lost, pos, out, false)?;
+        let reconstructed = with_plan(|plan| {
+            if !self.plan_with(|fault| plan_rebuild_unit_into(&self.mapping, addr, fault, plan)) {
+                return Err(StoreError::state("hedged unit not in a stripe".to_string()));
+            }
+            self.unit_into(&self.decoded(plan, false)?, plan.target, out);
             Ok(())
-        })();
+        });
         match reconstructed {
             Ok(()) => match rx.try_recv() {
                 // The primary finished first and clean: its bytes win,
@@ -265,7 +241,7 @@ impl BlockStore {
             let _guard = self.lock_stripe(stripe);
             let units = self.mapping.stripe_units(stripe);
             for u in &units {
-                if self.is_degraded() && lock(&self.state).is_lost(*u) {
+                if self.plan_with(|fault| fault.is_lost(*u)) {
                     continue;
                 }
                 report.units_scanned += 1;

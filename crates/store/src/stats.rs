@@ -31,7 +31,8 @@ pub struct DiskStats {
     pub ewma_read_us: f64,
     /// Whether the limping detector currently flags this disk.
     pub limping: bool,
-    /// Whether this disk is the currently failed one.
+    /// Whether this disk is currently failed (any of them, for a P+Q
+    /// store that has lost two).
     pub failed: bool,
 }
 
@@ -44,7 +45,9 @@ pub struct StoreStats {
     pub disks: u16,
     /// Stripe width G.
     pub group: u16,
-    /// Declustering ratio α = (G−1)/(C−1).
+    /// The fraction of each surviving disk a rebuild reads,
+    /// (G−m)/(C−1): the declustering ratio α = (G−1)/(C−1) for single
+    /// parity.
     pub alpha: f64,
     /// Bytes per stripe unit.
     pub unit_bytes: u64,
@@ -54,7 +57,8 @@ pub struct StoreStats {
     pub block_count: u64,
     /// Whether a disk is currently failed and not fully rebuilt.
     pub degraded: bool,
-    /// The failed disk, if any.
+    /// The first failed disk, if any (every failed disk is flagged in
+    /// `per_disk`).
     pub failed_disk: Option<u16>,
     /// Whether the store was opened read-only (v1 format).
     pub read_only: bool,
@@ -69,7 +73,7 @@ impl StoreStats {
     /// Collects a snapshot from a live store. Cheap: atomic loads and
     /// one short state-lock acquisition, no I/O.
     pub fn collect(store: &BlockStore) -> StoreStats {
-        let failed = store.failed_disk();
+        let failed = store.failed_disks();
         let io = store.io_counters();
         let per_disk = (0..store.spec().disks())
             .map(|d| DiskStats {
@@ -79,19 +83,19 @@ impl StoreStats {
                 faults: store.disk_faults(d),
                 ewma_read_us: store.disk_read_ewma_us(d),
                 limping: store.disk_limping(d),
-                failed: failed == Some(d),
+                failed: failed.contains(&d),
             })
             .collect();
         StoreStats {
             layout: store.spec().to_string(),
             disks: store.spec().disks(),
             group: store.spec().group(),
-            alpha: store.spec().alpha(),
+            alpha: decluster_array::plan::rebuild_read_fraction(store.mapping()),
             unit_bytes: store.unit_bytes() as u64,
             data_units: store.data_units(),
             block_count: store.block_count(),
-            degraded: failed.is_some(),
-            failed_disk: failed,
+            degraded: !failed.is_empty(),
+            failed_disk: failed.first().copied(),
             read_only: store.read_only(),
             faults: store.fault_counters(),
             per_disk,
@@ -248,6 +252,38 @@ mod tests {
         assert!(json.contains("\"per_disk\":[{\"disk\":0,\"reads\":11"));
         assert!(json.contains("\"ewma_read_us\":812.500"));
         assert!(!json.contains(",}") && !json.contains(",]"), "{json}");
+    }
+
+    #[test]
+    fn collect_flags_every_failed_disk_of_a_pq_store() {
+        let dir = std::env::temp_dir()
+            .join("decluster-store-stats")
+            .join(format!("pq-two-failed-{}", std::process::id()));
+        if dir.exists() {
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        let spec = crate::LayoutSpec::Pq {
+            disks: 10,
+            group: 5,
+        };
+        let store = BlockStore::create(&dir, spec, 36, 512, 5).unwrap();
+        store.fail_disk(2).unwrap();
+        store.fail_disk(7).unwrap();
+        let stats = StoreStats::collect(&store);
+        let failed: Vec<u16> = stats
+            .per_disk
+            .iter()
+            .filter(|d| d.failed)
+            .map(|d| d.disk)
+            .collect();
+        assert_eq!(failed, vec![2, 7]);
+        assert!(stats.degraded);
+        assert_eq!(stats.failed_disk, Some(2));
+        // A rebuild reads G − m = 3 survivors per unit over C − 1 = 9.
+        assert!((stats.alpha - 1.0 / 3.0).abs() < 1e-12);
+        let json = stats.to_json();
+        assert_eq!(json.matches("\"failed\":true").count(), 2, "{json}");
+        store.close().unwrap();
     }
 
     #[test]

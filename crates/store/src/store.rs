@@ -2,19 +2,21 @@
 //! layout math routing every access.
 //!
 //! [`BlockStore`] exposes a flat logical block address space
-//! ([`BLOCK_BYTES`]-sized blocks) and maps it through
-//! [`ArrayMapping`] exactly as the byte-accurate model
-//! (`decluster_array::data::DataArray`) does, so the two are
-//! byte-for-byte comparable: fault-free writes are read-modify-write
-//! (`parity ^= old ^ new`), writes whose parity unit is lost store the
-//! data alone, writes whose data unit is lost fold the new value into
-//! parity (and go straight to the replacement once one is installed),
-//! and degraded reads reconstruct on the fly from the XOR of the
-//! stripe's survivors.
+//! ([`BLOCK_BYTES`]-sized blocks) and maps it through [`ArrayMapping`].
+//! Which units an access reads and writes is not decided here: every
+//! access, rebuild step, read repair and hedged read executes a plan
+//! from the striping driver's decision table (`decluster_array::plan`,
+//! `decluster_array::extent`) — the same table the simulator times. The
+//! store does only the byte work: verified checksummed reads, XOR and
+//! GF(256) parity, the P/Q/2×2 decode, and coalesced positional writes.
+//! Its reconstruction policy is fixed at [`RECON_ALGORITHM`]: writes to
+//! a lost unit go straight to an installed replacement, and reads of
+//! rebuilt units are redirected to it. The bytes match the independent
+//! oracle (`decluster_array::data::DataArray`) exactly.
 //!
 //! The hot path is built to be syscall- and memory-bandwidth-limited
-//! (see DESIGN.md §11): a write extent covering all `G−1` data units of
-//! a stripe takes the **full-stripe fast path** — parity computed
+//! (see DESIGN.md §11): a write extent covering all `G−m` data units of
+//! a stripe takes the **full-stripe plan** — parity computed
 //! straight from the new data, exactly `G` positional writes, zero
 //! reads — with the per-disk submissions of one batch sorted and
 //! coalesced so units landing at adjacent offsets of one file go down
@@ -47,8 +49,15 @@ use crate::superblock::{
     LayoutSpec, Superblock, BLOCK_BYTES, SUPERBLOCK_BYTES, VERSION, VERSION_NO_CHECKSUMS,
     VERSION_TAGGED,
 };
+use decluster_array::extent::plan_full_stripe_write_into;
+use decluster_array::plan::{
+    plan_rebuild_unit_into, plan_user_access_into, rebuild_read_fraction, Access, FaultView,
+    OpPlan, PlannedIo,
+};
 use decluster_array::{ConsistencyReport, RecoveryPolicy};
 use decluster_core::layout::{ArrayMapping, UnitAddr, UnitRole};
+use decluster_core::recon::ReconAlgorithm;
+use std::cell::RefCell;
 use std::fs::OpenOptions;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
@@ -67,6 +76,40 @@ fn file_backend(_index: u16, file: std::fs::File) -> Box<dyn DiskBackend> {
 
 /// Upper bound on the stripe-lock table; stripes hash onto it by id.
 const MAX_STRIPE_LOCKS: u64 = 1024;
+
+/// The store's reconstruction policy: user writes to a lost unit go
+/// straight to an installed replacement, and reads of rebuilt units are
+/// redirected to it.
+pub const RECON_ALGORITHM: ReconAlgorithm = ReconAlgorithm::Redirect;
+
+thread_local! {
+    /// Per-thread plan scratch: every access plans into it, so planning
+    /// allocates nothing in steady state. A plan nested inside another's
+    /// execution (a read repair under a write) finds it borrowed and uses
+    /// a fresh one.
+    static PLAN: RefCell<OpPlan> = RefCell::new(OpPlan::default());
+}
+
+/// Runs `f` with this thread's scratch plan.
+pub(crate) fn with_plan<R>(f: impl FnOnce(&mut OpPlan) -> R) -> R {
+    PLAN.with(|plan| match plan.try_borrow_mut() {
+        Ok(mut plan) => f(&mut plan),
+        Err(_) => f(&mut OpPlan::default()),
+    })
+}
+
+/// Per-position images of one stripe: `Some` for every unit read,
+/// decoded or computed so far.
+type Images<'a> = Vec<Option<PooledBuf<'a>>>;
+
+/// The stripe position of a planned access. The store has no spare
+/// area, so every access lands on a member of the planned stripe.
+fn position(plan: &OpPlan, io: &PlannedIo) -> usize {
+    plan.units
+        .iter()
+        .position(|u| u.disk == io.disk)
+        .expect("planned access lands on a stripe member")
+}
 
 /// Stripes handled per full-stripe batch: bounds the lock guards held
 /// and the coalescing buffer (`FULL_STRIPE_BATCH × unit_bytes` per
@@ -209,20 +252,13 @@ pub(crate) struct FaultState {
 }
 
 impl FaultState {
-    /// Whether `addr` is currently unreadable (failed and not yet
-    /// rebuilt).
-    pub(crate) fn is_lost(&self, addr: UnitAddr) -> bool {
-        self.failed.iter().any(|f| {
-            f.disk == addr.disk && f.rebuilt.as_ref().is_none_or(|r| !r[addr.offset as usize])
-        })
-    }
-
-    fn is_failed(&self, disk: u16) -> bool {
-        self.failed.iter().any(|f| f.disk == disk)
-    }
-
-    fn slot(&self, disk: u16) -> Option<&FailedDisk> {
-        self.failed.iter().find(|f| f.disk == disk)
+    /// The planner's view of this state: one failed slot per failed
+    /// disk, its rebuilt map once a replacement is installed.
+    fn view(&self) -> FaultView<'_> {
+        self.failed.iter().fold(
+            FaultView::FAULT_FREE.with_algorithm(RECON_ALGORITHM),
+            |view, f| view.with_failed(f.disk, f.rebuilt.as_deref()),
+        )
     }
 
     fn slot_mut(&mut self, disk: u16) -> Option<&mut FailedDisk> {
@@ -278,8 +314,9 @@ pub struct RebuildReport {
     /// Mapped (non-hole) units on each disk — the denominator of the
     /// per-disk read fraction.
     pub mapped_units_per_disk: Vec<u64>,
-    /// The layout's declustering ratio α = (G−1)/(C−1): the predicted
-    /// fraction of each surviving disk read by the rebuild.
+    /// The predicted fraction of each surviving disk read by the
+    /// rebuild, (G−m)/(C−1): the declustering ratio α = (G−1)/(C−1)
+    /// for single parity (see `decluster_array::plan::rebuild_read_fraction`).
     pub alpha: f64,
     /// Wall-clock time of the rebuild.
     pub wall_secs: f64,
@@ -918,118 +955,101 @@ impl BlockStore {
     // Stripe decode engine
     // ------------------------------------------------------------------
 
-    /// The current lost-unit flags for `units`, position-aligned.
-    pub(crate) fn lost_flags(&self, units: &[UnitAddr]) -> Vec<bool> {
+    /// Plans under the current fault state: lock-free while fault-free,
+    /// otherwise under the state mutex, which is released before any
+    /// of the plan's I/O runs. The caller holds the stripe lock, so the
+    /// planned stripe's fault state cannot change until it is done.
+    pub(crate) fn plan_with<R>(&self, f: impl FnOnce(FaultView<'_>) -> R) -> R {
         if !self.is_degraded() {
-            return vec![false; units.len()];
+            return f(FaultView::FAULT_FREE);
         }
-        let st = lock(&self.state);
-        units.iter().map(|u| st.is_lost(*u)).collect()
+        f(lock(&self.state).view())
     }
 
-    /// Reads one surviving unit. `verified` routes through the full
-    /// retry/read-repair path; raw mode reads and checks the checksum
-    /// only (the repair machinery itself uses raw to avoid recursion).
-    pub(crate) fn read_survivor(&self, u: UnitAddr, out: &mut [u8], verified: bool) -> Result<()> {
-        if verified {
-            self.read_unit_verified(u, out)
-        } else {
-            let d = &self.disks[u.disk as usize];
-            d.read_unit(u.offset, out)?;
-            d.check_sum(u.offset, out)
+    /// Runs the plan's reads, each into its stripe position's image.
+    /// `verified` routes every read through the full retry/read-repair
+    /// path; raw mode reads and checks the checksum only (the repair
+    /// machinery itself uses raw to avoid recursion).
+    fn read_planned(&self, plan: &OpPlan, verified: bool) -> Result<Images<'_>> {
+        let mut images: Images<'_> = plan.units.iter().map(|_| None).collect();
+        for io in plan.reads() {
+            let mut buf = self.buffers.get();
+            if verified {
+                self.read_unit_verified(UnitAddr::new(io.disk, io.offset), &mut buf)?;
+            } else {
+                let disk = &self.disks[io.disk as usize];
+                disk.read_unit(io.offset, &mut buf)?;
+                disk.check_sum(io.offset, &buf)?;
+            }
+            images[position(plan, io)] = Some(buf);
         }
+        Ok(images)
     }
 
-    /// Reads the stripe's `G − m` data images in index order, decoding
-    /// the positions flagged in `lost` from the surviving redundancy:
-    /// one data erasure resolves through P (plain XOR) or, with P also
-    /// gone on a P+Q stripe, through Q; two data erasures solve the
-    /// 2×2 Vandermonde system over GF(256). Returns the images and the
-    /// number of survivor units read.
+    /// Decodes every data image the plan did not read from the parities
+    /// it did read: one erasure resolves through P (plain XOR) or, with
+    /// only Q read, through Q; two erasures solve the 2×2 Vandermonde
+    /// system over GF(256). The parity images used are consumed.
     ///
     /// # Errors
     ///
-    /// [`StoreError::InvalidState`] when `lost` marks more units than
-    /// the stripe's parity can recover; otherwise any survivor read
-    /// error.
-    fn read_stripe_data(
-        &self,
-        units: &[UnitAddr],
-        lost: &[bool],
-        verified: bool,
-    ) -> Result<(Vec<PooledBuf<'_>>, u64)> {
-        let m = self.parity_units() as usize;
-        let d = units.len() - m;
-        let unrecoverable = || {
-            StoreError::state("stripe has more lost units than its parity can recover".to_string())
-        };
-        let mut reads = 0u64;
-        let mut bufs = Vec::with_capacity(d);
-        for i in 0..d {
-            let mut b = self.buffers.get();
-            if !lost[i] {
-                self.read_survivor(units[i], &mut b, verified)?;
-                reads += 1;
-            }
-            bufs.push(b);
-        }
-        let missing: Vec<usize> = (0..d).filter(|&i| lost[i]).collect();
-        match missing.as_slice() {
-            [] => {}
-            &[a] if !lost[d] => {
-                // P survives: the erased unit is the XOR of P and the
-                // other data units.
-                let mut acc = self.buffers.get();
-                self.read_survivor(units[d], &mut acc, verified)?;
-                reads += 1;
-                for (i, b) in bufs.iter().enumerate() {
-                    if i != a {
-                        parity::xor_into(&mut acc, b);
-                    }
+    /// [`StoreError::InvalidState`] when more data images are missing
+    /// than parities were read.
+    fn decode_data(&self, images: &mut Images<'_>, d: usize) -> Result<()> {
+        let missing: Vec<usize> = (0..d).filter(|&i| images[i].is_none()).collect();
+        let q_at = d + 1;
+        let have_q = images.get(q_at).is_some_and(Option::is_some);
+        match (missing.as_slice(), images[d].is_some(), have_q) {
+            ([], ..) => {}
+            (&[a], true, _) => {
+                // The erased unit is the XOR of P and the other data.
+                let mut acc = images[d].take().expect("P read");
+                for b in images[..d].iter().flatten() {
+                    parity::xor_into(&mut acc, b);
                 }
-                bufs[a].copy_from_slice(&acc);
+                images[a] = Some(acc);
             }
-            &[a] if m == 2 && !lost[d + 1] => {
-                // P is gone but Q survives: d_a = g^{-a}·(Q ⊕ Σ g^i·d_i).
-                let mut acc = self.buffers.get();
-                self.read_survivor(units[d + 1], &mut acc, verified)?;
-                reads += 1;
-                for (i, b) in bufs.iter().enumerate() {
-                    if i != a {
+            (&[a], false, true) => {
+                // Only Q read: d_a = g^{-a}·(Q ⊕ Σ g^i·d_i).
+                let mut acc = images[q_at].take().expect("Q read");
+                for (i, b) in images[..d].iter().enumerate() {
+                    if let Some(b) = b {
                         parity::gf_mul_into(&mut acc, b, parity::gf_pow2(i as u16));
                     }
                 }
                 parity::gf_scale(&mut acc, parity::gf_inv(parity::gf_pow2(a as u16)));
-                bufs[a].copy_from_slice(&acc);
+                images[a] = Some(acc);
             }
-            &[a, b_pos] if m == 2 && !lost[d] && !lost[d + 1] => {
-                // Two data erasures: fold the survivors into both parity
+            (&[a, b], true, true) => {
+                // Two erasures: fold the survivors into both parity
                 // images, then solve the 2×2 system.
-                let mut p = self.buffers.get();
-                let mut q = self.buffers.get();
-                self.read_survivor(units[d], &mut p, verified)?;
-                self.read_survivor(units[d + 1], &mut q, verified)?;
-                reads += 2;
-                for (i, b) in bufs.iter().enumerate() {
-                    if i != a && i != b_pos {
-                        parity::xor_into(&mut p, b);
-                        parity::gf_mul_into(&mut q, b, parity::gf_pow2(i as u16));
+                let mut p = images[d].take().expect("P read");
+                let mut q = images[q_at].take().expect("Q read");
+                for (i, img) in images[..d].iter().enumerate() {
+                    if let Some(img) = img {
+                        parity::xor_into(&mut p, img);
+                        parity::gf_mul_into(&mut q, img, parity::gf_pow2(i as u16));
                     }
                 }
-                parity::gf_solve_two_data(a as u16, b_pos as u16, &mut p, &mut q);
-                bufs[a].copy_from_slice(&q);
-                bufs[b_pos].copy_from_slice(&p);
+                parity::gf_solve_two_data(a as u16, b as u16, &mut p, &mut q);
+                images[a] = Some(q);
+                images[b] = Some(p);
             }
-            _ => return Err(unrecoverable()),
+            _ => {
+                return Err(StoreError::state(
+                    "stripe has more lost units than its parity can recover".to_string(),
+                ))
+            }
         }
-        Ok((bufs, reads))
+        Ok(())
     }
 
     /// Computes the `j`-th parity unit (0 = P, 1 = Q) of a stripe from
-    /// its data images into `out`.
-    fn compute_parity_into(&self, j: u16, data: &[PooledBuf<'_>], out: &mut [u8]) {
+    /// its complete data images into `out`.
+    fn compute_parity_into(&self, j: usize, data: &[Option<PooledBuf<'_>>], out: &mut [u8]) {
         out.fill(0);
         for (i, b) in data.iter().enumerate() {
+            let b = b.as_deref().expect("every data image present");
             if j == 0 {
                 parity::xor_into(out, b);
             } else {
@@ -1038,32 +1058,28 @@ impl BlockStore {
         }
     }
 
-    /// Reconstructs the single stripe unit at position `pos` (layout
-    /// order: data units, then parity) from the rest of the stripe,
-    /// under the erasures in `lost`. Returns the survivor units read.
+    /// Puts the image of stripe position `pos` into `out`, given every
+    /// data image: a copy of the data image, or the parity computed
+    /// from them.
+    pub(crate) fn unit_into(&self, images: &Images<'_>, pos: usize, out: &mut [u8]) {
+        let d = images.len() - self.parity_units() as usize;
+        if pos < d {
+            out.copy_from_slice(images[pos].as_deref().expect("every data image present"));
+        } else {
+            self.compute_parity_into(pos - d, &images[..d], out);
+        }
+    }
+
+    /// Executes a rebuild-unit plan's reads and decodes every data image
+    /// of its stripe.
     ///
     /// # Errors
     ///
-    /// As for [`BlockStore::read_stripe_data`].
-    pub(crate) fn reconstruct_unit(
-        &self,
-        units: &[UnitAddr],
-        lost: &[bool],
-        pos: usize,
-        out: &mut [u8],
-        verified: bool,
-    ) -> Result<u64> {
-        let m = self.parity_units() as usize;
-        let d = units.len() - m;
-        let mut lost = lost.to_vec();
-        lost[pos] = true;
-        let (data, reads) = self.read_stripe_data(units, &lost, verified)?;
-        if pos < d {
-            out.copy_from_slice(&data[pos]);
-        } else {
-            self.compute_parity_into((pos - d) as u16, &data, out);
-        }
-        Ok(reads)
+    /// Any read error, or an undecodable stripe.
+    pub(crate) fn decoded(&self, plan: &OpPlan, verified: bool) -> Result<Images<'_>> {
+        let mut images = self.read_planned(plan, verified)?;
+        self.decode_data(&mut images, plan.units.len() - self.parity_units() as usize)?;
+        Ok(images)
     }
 
     // ------------------------------------------------------------------
@@ -1107,10 +1123,10 @@ impl BlockStore {
     /// The write-intent bits covering every touched stripe are staged
     /// and flushed **once** for the whole request (group-committed with
     /// concurrent requests) before any data or parity write is issued.
-    /// Spans covering all `G−1` data units of a stripe take the
-    /// full-stripe fast path (parity from the new data, `G` writes,
-    /// zero reads); partial-unit extents read-splice-write the unit
-    /// under its stripe lock.
+    /// Spans covering all `G−m` data units of a stripe take the
+    /// full-stripe plan (parity from the new data, `G` writes, zero
+    /// reads) unless a unit of that stripe is lost; partial-unit extents
+    /// read-splice-write the unit under its stripe lock.
     ///
     /// # Errors
     ///
@@ -1150,19 +1166,16 @@ impl BlockStore {
             let logical = block / bpu;
             let at = (block % bpu) as usize * BLOCK_BYTES as usize;
             // Full-stripe fast path: stripe-aligned and at least one
-            // whole stripe of data remaining, on a fault-free array.
-            if at == 0 && logical.is_multiple_of(dpu) && !self.is_degraded() {
+            // whole stripe of data remaining.
+            if at == 0 && logical.is_multiple_of(dpu) {
                 let stripes = ((data.len() - taken) / ub) as u64 / dpu;
                 let stripes = stripes.min(FULL_STRIPE_BATCH);
                 if stripes > 0 {
-                    let span = (stripes * dpu) as usize * ub;
-                    if self.write_full_stripes(
-                        logical / dpu,
-                        stripes,
-                        &data[taken..taken + span],
-                    )? {
-                        taken += span;
-                        block += stripes * dpu * bpu;
+                    let written =
+                        self.write_full_stripes(logical / dpu, stripes, &data[taken..])?;
+                    if written > 0 {
+                        taken += (written * dpu) as usize * ub;
+                        block += written * dpu * bpu;
                         continue;
                     }
                 }
@@ -1180,14 +1193,16 @@ impl BlockStore {
         Ok(())
     }
 
-    /// Writes `stripes` consecutive whole stripes starting at stripe
-    /// seq `seq_lo`, parity computed from the new data alone: `G`
-    /// writes and zero reads per stripe. Returns `false` (having
-    /// written nothing) if a concurrent disk failure was detected once
-    /// the locks were held — the caller falls back to the RMW path.
-    fn write_full_stripes(&self, seq_lo: u64, stripes: u64, src: &[u8]) -> Result<bool> {
+    /// Writes up to `stripes` consecutive whole stripes starting at
+    /// stripe seq `seq_lo`, each by the planner's full-stripe plan:
+    /// parity computed from the new data alone, `G` writes and zero
+    /// reads per stripe. Stops at the first stripe the planner refuses
+    /// (one of its units is lost) and returns how many stripes it wrote;
+    /// the caller writes the refused stripe unit by unit.
+    fn write_full_stripes(&self, seq_lo: u64, stripes: u64, src: &[u8]) -> Result<u64> {
         let ub = self.unit_bytes;
         let dpu = self.data_per_stripe() as usize;
+        let m = self.parity_units() as usize;
         let ids: Vec<u64> = (0..stripes)
             .map(|i| self.mapping.stripe_by_seq(seq_lo + i))
             .collect();
@@ -1202,19 +1217,30 @@ impl BlockStore {
         buckets.dedup();
         let _guards: Vec<MutexGuard<'_, ()>> =
             buckets.iter().map(|&i| lock(&self.locks[i])).collect();
-        if self.is_degraded() {
-            return Ok(false);
-        }
-        // Parity of each stripe, straight from the new data: m buffers
-        // per stripe (P is the plain XOR, Q the GF(256) weighted sum).
-        let m = self.parity_units() as usize;
-        let mut parity_bufs = Vec::with_capacity(stripes as usize * m);
-        for i in 0..stripes as usize {
-            let base = i * dpu * ub;
+        // Plan the batch: each accepted stripe contributes its G writes
+        // in layout order (data units, then parity).
+        let mut targets: Vec<(u16, u64)> = Vec::with_capacity(ids.len() * (dpu + m));
+        let planned = with_plan(|plan| {
+            self.plan_with(|fault| {
+                ids.iter()
+                    .take_while(|&&stripe| {
+                        let full = plan_full_stripe_write_into(&self.mapping, stripe, fault, plan);
+                        if full {
+                            targets.extend(plan.writes().map(|io| (io.disk, io.offset)));
+                        }
+                        full
+                    })
+                    .count()
+            })
+        });
+        // Parity of each planned stripe, straight from the new data: m
+        // buffers per stripe (P is the plain XOR, Q the GF(256) weighted
+        // sum).
+        let mut parity_bufs = Vec::with_capacity(planned * m);
+        for data in src.chunks_exact(dpu * ub).take(planned) {
             for j in 0..m {
                 let mut p = self.buffers.get_zeroed();
-                for k in 0..dpu {
-                    let unit = &src[base + k * ub..base + (k + 1) * ub];
+                for (k, unit) in data.chunks_exact(ub).enumerate() {
                     if j == 0 {
                         parity::xor_into(&mut p, unit);
                     } else {
@@ -1224,21 +1250,18 @@ impl BlockStore {
                 parity_bufs.push(p);
             }
         }
-        // Gather every unit write of the batch, then submit per disk in
-        // offset order, adjacent offsets coalesced into one pwrite.
-        let mut units = Vec::new();
-        let mut ops: Vec<(u16, u64, &[u8])> = Vec::with_capacity(stripes as usize * (dpu + m));
-        for (i, &stripe) in ids.iter().enumerate() {
-            units.clear();
-            self.mapping.stripe_units_into(stripe, &mut units);
-            let base = i * dpu * ub;
-            for (k, u) in units[..dpu].iter().enumerate() {
-                ops.push((u.disk, u.offset, &src[base + k * ub..base + (k + 1) * ub]));
-            }
-            for (j, u) in units[dpu..].iter().enumerate() {
-                ops.push((u.disk, u.offset, &parity_bufs[i * m + j][..]));
-            }
-        }
+        // Pair each planned write with its payload (both in layout
+        // order), then submit per disk in offset order, adjacent offsets
+        // coalesced into one pwrite.
+        let payloads = src
+            .chunks_exact(dpu * ub)
+            .zip(parity_bufs.chunks_exact(m))
+            .flat_map(|(data, parity)| data.chunks_exact(ub).chain(parity.iter().map(|p| &p[..])));
+        let mut ops: Vec<(u16, u64, &[u8])> = targets
+            .iter()
+            .zip(payloads)
+            .map(|(&(disk, offset), payload)| (disk, offset, payload))
+            .collect();
         ops.sort_unstable_by_key(|&(d, o, _)| (d, o));
         let mut run: Vec<u8> = Vec::new();
         let mut i = 0;
@@ -1260,7 +1283,7 @@ impl BlockStore {
             }
             i = j;
         }
-        Ok(true)
+        Ok(planned as u64)
     }
 
     /// Reads one whole logical unit into `out` (`unit_bytes` long),
@@ -1270,51 +1293,47 @@ impl BlockStore {
     ///
     /// Fails on a bad length, out-of-range unit, or disk I/O error.
     pub fn read_unit(&self, logical: u64, out: &mut [u8]) -> Result<()> {
-        if out.len() != self.unit_bytes {
-            return Err(StoreError::state(format!(
-                "unit read buffer is {} bytes, unit is {}",
-                out.len(),
-                self.unit_bytes
-            )));
-        }
-        if logical >= self.data_units() {
-            return Err(StoreError::state(format!(
-                "logical unit {logical} beyond capacity {}",
-                self.data_units()
-            )));
-        }
+        self.check_unit(logical, out.len(), "read buffer")?;
         self.apply_pending_demotion()?;
-        let (stripe, index) = self.mapping.logical_to_stripe(logical);
+        let (stripe, _) = self.mapping.logical_to_stripe(logical);
         let _guard = self.lock_stripe(stripe);
-        if !self.is_degraded() {
-            let addr = self.mapping.logical_to_addr(logical);
-            if self.health.limping(addr.disk) {
-                return self.read_unit_hedged(stripe, addr, out);
+        let direct = with_plan(|plan| -> Result<Option<UnitAddr>> {
+            self.plan_with(|fault| {
+                plan_user_access_into(&self.mapping, Access::Read, logical, fault, plan)
+            });
+            if let [io] = plan.phase1[..] {
+                if io.disk == plan.units[plan.target].disk {
+                    // One read of the unit itself (or its rebuilt copy).
+                    return Ok(Some(UnitAddr::new(io.disk, io.offset)));
+                }
             }
-            return self.read_unit_verified(addr, out);
+            // On-the-fly reconstruction from the planned survivors.
+            self.unit_into(&self.decoded(plan, true)?, plan.target, out);
+            Ok(None)
+        })?;
+        match direct {
+            Some(addr) if !self.is_degraded() && self.health.limping(addr.disk) => {
+                self.read_unit_hedged(addr, out)
+            }
+            Some(addr) => self.read_unit_verified(addr, out),
+            None => Ok(()),
         }
-        let units = self.mapping.stripe_units(stripe);
-        let addr = units[index as usize];
-        let lost = self.lost_flags(&units);
-        if !lost[index as usize] {
-            return self.read_unit_verified(addr, out);
-        }
-        self.reconstruct_unit(&units, &lost, index as usize, out, true)?;
-        Ok(())
     }
 
-    /// Writes one whole logical unit.
+    /// Writes one whole logical unit: a one-unit [`BlockStore::write_blocks`].
     ///
     /// # Errors
     ///
     /// As for [`BlockStore::read_unit`].
     pub fn write_unit(&self, logical: u64, data: &[u8]) -> Result<()> {
-        self.check_writable()?;
-        self.apply_pending_demotion()?;
-        if data.len() != self.unit_bytes {
+        self.check_unit(logical, data.len(), "write")?;
+        self.write_blocks(logical * self.blocks_per_unit, data)
+    }
+
+    fn check_unit(&self, logical: u64, len: usize, what: &str) -> Result<()> {
+        if len != self.unit_bytes {
             return Err(StoreError::state(format!(
-                "unit write is {} bytes, unit is {}",
-                data.len(),
+                "unit {what} is {len} bytes, unit is {}",
                 self.unit_bytes
             )));
         }
@@ -1324,13 +1343,7 @@ impl BlockStore {
                 self.data_units()
             )));
         }
-        let seq = logical / self.data_per_stripe();
-        if lock(&self.intent).stage_range(seq, seq)? {
-            self.gate.sync()?;
-        }
-        let res = self.write_unit_premarked(logical, NewData::Full(data));
-        lock(&self.intent).release_range(seq, seq)?;
-        res
+        Ok(())
     }
 
     fn check_extent(&self, block: u64, len: usize) -> Result<()> {
@@ -1358,107 +1371,105 @@ impl BlockStore {
         self.locks.iter().map(lock).collect()
     }
 
-    /// The unit-write engine: same decomposition as `DataArray::write`,
-    /// executed over files under the stripe lock. The caller has
-    /// already staged and synced the intent bit covering this stripe.
+    /// The unit-write engine: executes the planner's write plan under
+    /// the stripe lock. The caller has already staged and synced the
+    /// intent bit covering this stripe.
     ///
-    /// With the target unit live, the write is a read-modify-write that
-    /// delta-folds `old ⊕ new` into every *live* parity unit (`P ⊕=
-    /// delta`, `Q ⊕= g^index·delta`); lost parities are simply skipped.
-    /// With the target unit lost, the stripe's surviving data is decoded
-    /// (through P, Q, or both), the new image overlaid, every live
-    /// parity recomputed from the full data images, and — once a
-    /// replacement is installed — the image also lands on the
-    /// replacement directly.
+    /// Reads are verified — a media error or checksum mismatch is
+    /// retried, then repaired, before the write proceeds on trusted
+    /// bytes; with the stripe's redundancy already spent, a survivor
+    /// fault escalates as a typed error rather than letting wrong bytes
+    /// into the stripe.
     fn write_unit_premarked(&self, logical: u64, new: NewData<'_>) -> Result<()> {
-        if logical >= self.data_units() {
-            return Err(StoreError::state(format!(
-                "logical unit {logical} beyond capacity {}",
-                self.data_units()
-            )));
-        }
-        let (stripe, index) = self.mapping.logical_to_stripe(logical);
+        let (stripe, _) = self.mapping.logical_to_stripe(logical);
         let _guard = self.lock_stripe(stripe);
-        let units = self.mapping.stripe_units(stripe);
-        let addr = units[index as usize];
-        let d = units.len() - self.parity_units() as usize;
-        let lost = self.lost_flags(&units);
+        let access = match new {
+            NewData::Full(_) => Access::Write,
+            NewData::Splice { .. } => Access::PartialWrite,
+        };
+        with_plan(|plan| {
+            self.plan_with(|fault| {
+                plan_user_access_into(&self.mapping, access, logical, fault, plan)
+            });
+            self.execute_write(plan, new)
+        })
+    }
 
-        if !lost[index as usize] {
-            // Read-modify-write: every live parity gets the delta.
-            // Old-image and parity reads are verified — a media error
-            // or checksum mismatch is retried, then repaired, before
-            // the cycle proceeds on trusted bytes.
-            let mut old = self.buffers.get();
-            self.read_unit_verified(addr, &mut old)?;
-            let splice_buf;
+    /// Carries out a user write plan: the planned reads, the new image
+    /// of the target, every planned parity, then the planned writes.
+    fn execute_write(&self, plan: &OpPlan, new: NewData<'_>) -> Result<()> {
+        let d = plan.units.len() - self.parity_units() as usize;
+        let t = plan.target;
+        let mut images = self.read_planned(plan, true)?;
+        if let Some(old) = images[t].take() {
+            // Read-modify-write: the plan pre-read every parity it
+            // writes; each absorbs the delta (P ⊕= old ⊕ new, Q ⊕=
+            // g^t·(old ⊕ new)).
+            let spliced;
             let image: &[u8] = match new {
                 NewData::Full(bytes) => bytes,
                 NewData::Splice { at, bytes } => {
                     let mut b = self.buffers.get();
                     b.copy_from_slice(&old);
                     b[at..at + bytes.len()].copy_from_slice(bytes);
-                    splice_buf = b;
-                    &splice_buf
+                    spliced = b;
+                    &spliced
                 }
             };
-            self.disks[addr.disk as usize].write_unit(addr.offset, image)?;
-            let mut pbuf = self.buffers.get();
-            for (j, pu) in units[d..].iter().enumerate() {
-                if lost[d + j] {
-                    // No value in updating lost parity.
+            for io in plan.writes() {
+                let pos = position(plan, io);
+                if pos == t {
+                    self.disks[io.disk as usize].write_unit(io.offset, image)?;
                     continue;
                 }
-                self.read_unit_verified(*pu, &mut pbuf)?;
-                if j == 0 {
-                    parity::xor_delta(&mut pbuf, &old, image);
+                let p = images[pos]
+                    .as_mut()
+                    .expect("RMW pre-reads every parity it writes");
+                if pos == d {
+                    parity::xor_delta(p, &old, image);
                 } else {
                     let mut delta = self.buffers.get();
                     delta.copy_from_slice(&old);
                     parity::xor_into(&mut delta, image);
-                    parity::gf_mul_into(&mut pbuf, &delta, parity::gf_pow2(index));
+                    parity::gf_mul_into(p, &delta, parity::gf_pow2(t as u16));
                 }
-                self.disks[pu.disk as usize].write_unit(pu.offset, &pbuf)?;
+                self.disks[io.disk as usize].write_unit(io.offset, p)?;
             }
-            return Ok(());
+        } else {
+            // The target was not read (the mirrored-pair and G = 3 plans,
+            // or a lost target): decode whatever the plan read parity
+            // for, put the new image in place, and compute every parity
+            // written from the data images alone.
+            if images[d..].iter().any(Option::is_some) {
+                self.decode_data(&mut images, d)?;
+            }
+            let mut image = images[t].take().unwrap_or_else(|| self.buffers.get());
+            match new {
+                NewData::Full(bytes) => image.copy_from_slice(bytes),
+                // A partial-write plan always reads or decodes the old
+                // image.
+                NewData::Splice { at, bytes } => image[at..at + bytes.len()].copy_from_slice(bytes),
+            }
+            images[t] = Some(image);
+            let mut pbuf = self.buffers.get();
+            for io in plan.writes() {
+                self.unit_into(&images, position(plan, io), &mut pbuf);
+                self.disks[io.disk as usize].write_unit(io.offset, &pbuf)?;
+            }
         }
-
-        // Target lost: decode the stripe's data (the old image of the
-        // target included — a splice needs it), overlay the new bytes,
-        // and recompute every live parity from the data images. A media
-        // fault on a survivor here is one fault too many: the verified
-        // read escalates it as a typed error rather than letting wrong
-        // bytes into the stripe.
-        let (mut data, _) = self.read_stripe_data(&units, &lost, true)?;
-        match new {
-            NewData::Full(bytes) => data[index as usize].copy_from_slice(bytes),
-            NewData::Splice { at, bytes } => {
-                data[index as usize][at..at + bytes.len()].copy_from_slice(bytes)
-            }
-        }
-        let mut pbuf = self.buffers.get();
-        for (j, pu) in units[d..].iter().enumerate() {
-            if lost[d + j] {
-                continue;
-            }
-            self.compute_parity_into(j as u16, &data, &mut pbuf);
-            self.disks[pu.disk as usize].write_unit(pu.offset, &pbuf)?;
-        }
-        let has_replacement = lock(&self.state)
-            .slot(addr.disk)
-            .is_some_and(|f| f.rebuilt.is_some());
-        if has_replacement {
-            // The replacement is installed: also write the data
-            // directly and mark the unit valid.
-            self.disks[addr.disk as usize].write_unit(addr.offset, &data[index as usize])?;
-            let mut st = lock(&self.state);
-            if let Some(f) = st.slot_mut(addr.disk) {
-                if let Some(rebuilt) = &mut f.rebuilt {
-                    rebuilt[addr.offset as usize] = true;
-                }
-            }
+        if let Some(addr) = plan.mark_rebuilt {
+            self.mark_rebuilt(addr);
         }
         Ok(())
+    }
+
+    /// Records that the unit at `addr` of a failed disk now holds valid
+    /// data on its replacement.
+    fn mark_rebuilt(&self, addr: UnitAddr) {
+        let mut st = lock(&self.state);
+        if let Some(rebuilt) = st.slot_mut(addr.disk).and_then(|f| f.rebuilt.as_mut()) {
+            rebuilt[addr.offset as usize] = true;
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1482,7 +1493,7 @@ impl BlockStore {
         let _guards = self.lock_all_stripes();
         {
             let mut st = lock(&self.state);
-            if st.is_failed(disk) {
+            if st.failed.iter().any(|f| f.disk == disk) {
                 return Err(StoreError::state(format!("disk {disk} is already failed")));
             }
             let tolerated = self.parity_units() as usize;
@@ -1575,7 +1586,8 @@ impl BlockStore {
     ///
     /// The report's per-disk read counters are the paper's claim made
     /// measurable: under a declustered layout each surviving disk is
-    /// read for only α = (G−1)/(C−1) of its units.
+    /// read for only (G−m)/(C−1) of its units — the declustering ratio
+    /// α = (G−1)/(C−1) for single parity.
     ///
     /// # Errors
     ///
@@ -1650,7 +1662,7 @@ impl BlockStore {
                 .map(|(a, b)| a.writes - b.writes)
                 .collect(),
             mapped_units_per_disk: self.mapped_units_per_disk(),
-            alpha: self.spec.alpha(),
+            alpha: rebuild_read_fraction(&self.mapping),
             wall_secs: start.elapsed().as_secs_f64(),
         })
     }
@@ -1658,59 +1670,44 @@ impl BlockStore {
     fn rebuild_range(&self, failed: &[u16], lo: u64, hi: u64) -> Result<RebuildChunk> {
         let mut chunk = RebuildChunk::default();
         let mut out = self.buffers.get();
-        let m = self.parity_units() as usize;
         for offset in lo..hi {
             for &fd in failed {
+                let addr = UnitAddr::new(fd, offset);
                 let Some(stripe) = self.mapping.role_at(fd, offset).stripe() else {
                     chunk.unmapped += 1;
                     continue;
                 };
                 let _guard = self.lock_stripe(stripe);
-                {
-                    let st = lock(&self.state);
-                    // A degraded-mode write (or this stripe's earlier
-                    // visit through its other failed member) may have
-                    // landed this unit on the replacement already; a
-                    // missing map means another path finished the
-                    // rebuild.
-                    let valid = st
-                        .slot(fd)
-                        .is_none_or(|f| f.rebuilt.as_ref().is_none_or(|r| r[offset as usize]));
-                    if valid {
-                        chunk.already_valid += 1;
-                        continue;
+                // A degraded-mode write (or this stripe's earlier visit
+                // through its other failed member) may have landed this
+                // unit on the replacement already; a missing slot means
+                // another path finished the rebuild. One decode installs
+                // every lost unit the plan writes. Survivor reads are
+                // verified: a sick survivor would silently corrupt the
+                // reconstruction, and with the stripe's redundancy
+                // already spent a survivor fault escalates as a typed
+                // error.
+                let rebuilt = with_plan(|plan| -> Result<bool> {
+                    let planned = self.plan_with(|fault| {
+                        fault.is_lost(addr)
+                            && plan_rebuild_unit_into(&self.mapping, addr, fault, plan)
+                    });
+                    if !planned {
+                        return Ok(false);
                     }
-                }
-                // Decode the stripe once and install every still-lost
-                // unit — on a P+Q stripe that lost two members, both are
-                // recovered from one pass over the survivors. Survivor
-                // reads are verified: a sick survivor would silently
-                // corrupt the reconstruction, and with the stripe's
-                // redundancy already spent a survivor fault escalates
-                // as a typed error.
-                let units = self.mapping.stripe_units(stripe);
-                let lost = self.lost_flags(&units);
-                let (data, _) = self.read_stripe_data(&units, &lost, true)?;
-                let d = units.len() - m;
-                for (pos, u) in units.iter().enumerate() {
-                    if !lost[pos] {
-                        continue;
+                    let images = self.decoded(plan, true)?;
+                    for io in plan.writes() {
+                        let pos = position(plan, io);
+                        self.unit_into(&images, pos, &mut out);
+                        self.disks[io.disk as usize].write_unit(io.offset, &out)?;
+                        self.mark_rebuilt(plan.units[pos]);
                     }
-                    if pos < d {
-                        self.disks[u.disk as usize].write_unit(u.offset, &data[pos])?;
-                    } else {
-                        self.compute_parity_into((pos - d) as u16, &data, &mut out);
-                        self.disks[u.disk as usize].write_unit(u.offset, &out)?;
-                    }
-                    if u.disk == fd {
-                        chunk.rebuilt += 1;
-                    }
-                    let mut st = lock(&self.state);
-                    if let Some(f) = st.slot_mut(u.disk) {
-                        if let Some(rebuilt) = &mut f.rebuilt {
-                            rebuilt[u.offset as usize] = true;
-                        }
-                    }
+                    Ok(true)
+                })?;
+                if rebuilt {
+                    chunk.rebuilt += 1;
+                } else {
+                    chunk.already_valid += 1;
                 }
             }
         }
@@ -1737,31 +1734,41 @@ impl BlockStore {
             ));
         }
         let m = self.parity_units() as usize;
-        let mut accs: Vec<PooledBuf<'_>> = (0..m).map(|_| self.buffers.get()).collect();
+        let mut expect = self.buffers.get();
         let mut tmp = self.buffers.get();
         for seq in 0..self.mapping.stripes() {
             let stripe = self.mapping.stripe_by_seq(seq);
             let _guard = self.lock_stripe(stripe);
             let units = self.mapping.stripe_units(stripe);
             let d = units.len() - m;
-            for acc in accs.iter_mut() {
-                acc.fill(0);
-            }
-            for (i, u) in units[..d].iter().enumerate() {
-                self.disks[u.disk as usize].read_unit(u.offset, &mut tmp)?;
-                parity::xor_into(&mut accs[0], &tmp);
-                if m == 2 {
-                    parity::gf_mul_into(&mut accs[1], &tmp, parity::gf_pow2(i as u16));
-                }
-            }
+            let data = self.read_data_raw(&units[..d], false)?;
             for (j, u) in units[d..].iter().enumerate() {
                 self.disks[u.disk as usize].read_unit(u.offset, &mut tmp)?;
-                if *accs[j] != *tmp {
+                self.compute_parity_into(j, &data, &mut expect);
+                if *expect != *tmp {
                     return Err(StoreError::ParityMismatch { stripe });
                 }
             }
         }
         Ok(())
+    }
+
+    /// Reads a stripe's data units raw — the consistency checks compare
+    /// parity against the bytes actually on disk — refreshing each
+    /// unit's checksum slot from those bytes when `heal`.
+    fn read_data_raw(&self, units: &[UnitAddr], heal: bool) -> Result<Images<'_>> {
+        units
+            .iter()
+            .map(|u| {
+                let mut buf = self.buffers.get();
+                let disk = &self.disks[u.disk as usize];
+                disk.read_unit(u.offset, &mut buf)?;
+                if heal {
+                    disk.note_contents(u.offset, &buf);
+                }
+                Ok(Some(buf))
+            })
+            .collect()
     }
 
     /// Corrupts a stripe's parity unit — the write-hole injection hook
@@ -1800,7 +1807,8 @@ impl BlockStore {
         let units = self.mapping.stripe_units(stripe);
         let m = self.parity_units() as usize;
         let d = units.len() - m;
-        let lost = self.lost_flags(&units);
+        let lost: Vec<bool> =
+            self.plan_with(|fault| units.iter().map(|&u| fault.is_lost(u)).collect());
         if lost[..d].iter().any(|&l| l) {
             return Err(StoreError::state(format!(
                 "stripe {stripe} has a lost data unit — parity is its only copy"
@@ -1811,18 +1819,13 @@ impl BlockStore {
                 "stripe {stripe} has no live parity unit"
             )));
         }
-        let mut data = Vec::with_capacity(d);
-        for u in &units[..d] {
-            let mut b = self.buffers.get();
-            self.disks[u.disk as usize].read_unit(u.offset, &mut b)?;
-            data.push(b);
-        }
+        let data = self.read_data_raw(&units[..d], false)?;
         let mut out = self.buffers.get();
         for (j, u) in units[d..].iter().enumerate() {
             if lost[d + j] {
                 continue;
             }
-            self.compute_parity_into(j as u16, &data, &mut out);
+            self.compute_parity_into(j, &data, &mut out);
             self.disks[u.disk as usize].write_unit(u.offset, &out)?;
         }
         Ok(())
@@ -1835,11 +1838,7 @@ impl BlockStore {
         }
         let units = self.mapping.stripe_units(stripe);
         let d = units.len() - self.parity_units() as usize;
-        let st = lock(&self.state);
-        units[d..]
-            .iter()
-            .find(|u| !st.is_lost(**u))
-            .copied()
+        self.plan_with(|fault| units[d..].iter().find(|&&u| !fault.is_lost(u)).copied())
             .ok_or_else(|| StoreError::state(format!("stripe {stripe} has no live parity unit")))
     }
 
@@ -1870,7 +1869,7 @@ impl BlockStore {
             recovery_secs: 0.0,
         };
         let m = self.parity_units() as usize;
-        let mut accs: Vec<PooledBuf<'_>> = (0..m).map(|_| self.buffers.get()).collect();
+        let mut expect = self.buffers.get();
         let mut tmp = self.buffers.get();
         for seq in seqs {
             let stripe = self.mapping.stripe_by_seq(seq);
@@ -1890,29 +1889,20 @@ impl BlockStore {
                 continue;
             }
             let d = units.len() - m;
-            for acc in accs.iter_mut() {
-                acc.fill(0);
-            }
-            for (i, u) in units[..d].iter().enumerate() {
-                self.disks[u.disk as usize].read_unit(u.offset, &mut tmp)?;
-                // The slots of every unit in a dirty region may be
-                // stale (in-memory tables died with the crash):
-                // recompute them from the on-disk bytes.
-                self.disks[u.disk as usize].note_contents(u.offset, &tmp);
-                parity::xor_into(&mut accs[0], &tmp);
-                if m == 2 {
-                    parity::gf_mul_into(&mut accs[1], &tmp, parity::gf_pow2(i as u16));
-                }
-                report.resync_units_read += 1;
-            }
+            // The slots of every unit in a dirty region may be stale
+            // (in-memory tables died with the crash): recompute them
+            // from the on-disk bytes.
+            let data = self.read_data_raw(&units[..d], true)?;
+            report.resync_units_read += d as u64;
             let mut stripe_torn = false;
             for (j, u) in units[d..].iter().enumerate() {
                 self.disks[u.disk as usize].read_unit(u.offset, &mut tmp)?;
                 self.disks[u.disk as usize].note_contents(u.offset, &tmp);
                 report.resync_units_read += 1;
-                if *accs[j] != *tmp {
+                self.compute_parity_into(j, &data, &mut expect);
+                if *expect != *tmp {
                     stripe_torn = true;
-                    self.disks[u.disk as usize].write_unit(u.offset, &accs[j])?;
+                    self.disks[u.disk as usize].write_unit(u.offset, &expect)?;
                     report.resync_units_written += 1;
                 }
             }

@@ -3,14 +3,18 @@
 //! (`DataArray`), demanding byte-identical contents afterwards — in
 //! fault-free, degraded, and post-rebuild runs. The same trace also
 //! drives the timing simulator (`ArraySim`) as a plausibility check
-//! that the recorded stream is a valid array workload.
+//! that the recorded stream is a valid array workload. Beyond bytes,
+//! the replay checks *access identity*: every unit access moves each
+//! disk's I/O counters by exactly the accesses of the plan the striping
+//! driver's decision table (`decluster_array::plan`) returns for it.
 
 use decluster_array::data::DataArray;
+use decluster_array::plan::{plan_user_access, FaultView, OpPlan};
 use decluster_array::{ArrayConfig, ArraySim};
 use decluster_core::design::BlockDesign;
 use decluster_core::layout::DeclusteredLayout;
 use decluster_sim::SimTime;
-use decluster_store::{BlockStore, LayoutSpec, BLOCK_BYTES};
+use decluster_store::{BlockStore, DiskCounters, LayoutSpec, BLOCK_BYTES, RECON_ALGORITHM};
 use decluster_workload::trace::Trace;
 use decluster_workload::{AccessKind, UserRequest, Workload, WorkloadSpec};
 use std::path::PathBuf;
@@ -324,4 +328,143 @@ fn post_rebuild_replay_is_byte_identical() {
     store.verify_parity().unwrap();
     oracle.verify_parity().unwrap();
     store.close().unwrap();
+}
+
+/// The store's fault state as the test tracks it: each failed disk and,
+/// once a replacement is installed, its rebuilt map.
+type Failed = Vec<(u16, Option<Vec<bool>>)>;
+
+/// Per-disk access counts of `plan`.
+fn plan_counts(plan: &OpPlan, disks: usize) -> Vec<DiskCounters> {
+    let mut counts = vec![DiskCounters::default(); disks];
+    for io in plan.reads() {
+        counts[io.disk as usize].reads += 1;
+    }
+    for io in plan.writes() {
+        counts[io.disk as usize].writes += 1;
+    }
+    counts
+}
+
+/// Replays `requests` unit by unit into the store and the oracle. Every
+/// access must leave the oracle's bytes and move each disk's counters by
+/// exactly the planned accesses under `failed` — which the replay keeps
+/// current as writes land lost units on a replacement.
+fn replay_planned(
+    store: &BlockStore,
+    oracle: &mut DataArray,
+    requests: &[UserRequest],
+    tag: u64,
+    failed: &mut Failed,
+    label: &str,
+) {
+    let disks = store.mapping().disks() as usize;
+    let mut buf = vec![0u8; UNIT_BYTES];
+    for (i, req) in requests.iter().enumerate() {
+        for logical in req.logical_unit..req.logical_unit + req.units {
+            let view = failed.iter().fold(
+                FaultView::FAULT_FREE.with_algorithm(RECON_ALGORITHM),
+                |view, (disk, rebuilt)| view.with_failed(*disk, rebuilt.as_deref()),
+            );
+            let plan = plan_user_access(store.mapping(), req.kind, logical, view);
+            let before = store.io_counters();
+            match req.kind {
+                AccessKind::Read => {
+                    store.read_unit(logical, &mut buf).unwrap();
+                    assert_eq!(buf, oracle.read(logical), "{label}: read of {logical}");
+                }
+                AccessKind::Write => {
+                    let data = content(logical, tag.wrapping_add(i as u64));
+                    store.write_unit(logical, &data).unwrap();
+                    oracle.write(logical, &data);
+                }
+            }
+            let moved: Vec<DiskCounters> = store
+                .io_counters()
+                .iter()
+                .zip(&before)
+                .map(|(a, b)| DiskCounters {
+                    reads: a.reads - b.reads,
+                    writes: a.writes - b.writes,
+                })
+                .collect();
+            assert_eq!(
+                moved,
+                plan_counts(&plan, disks),
+                "{label}: {:?} of unit {logical} diverged from its plan {plan:?}",
+                req.kind
+            );
+            if let Some(addr) = plan.mark_rebuilt {
+                let (_, rebuilt) = failed.iter_mut().find(|(d, _)| *d == addr.disk).unwrap();
+                rebuilt.as_mut().unwrap()[addr.offset as usize] = true;
+            }
+        }
+    }
+}
+
+/// Access identity across layouts and fault states: fault-free,
+/// degraded, replacement installed mid-rebuild, and (P+Q) two failed
+/// disks with and without replacements. Mirrored pairs write twice and
+/// read nothing, `G = 3` writes read the sibling, writes to a lost unit
+/// read only the `G − 2` siblings — the store does what the plan says.
+#[test]
+fn replayed_trace_accesses_match_the_plans() {
+    const UNITS: u64 = 84;
+    for (n, name) in ["bibd:c10g4", "mirror:c6", "complete:c5g3", "pq:c10g5"]
+        .into_iter()
+        .enumerate()
+    {
+        let spec: LayoutSpec = name.parse().unwrap();
+        let tag = 20_000_000 * (n as u64 + 1);
+        let store = BlockStore::create(
+            &fresh_dir(&format!("identity-{n}")),
+            spec,
+            UNITS,
+            UNIT_BYTES as u32,
+            0x1D ^ n as u64,
+        )
+        .unwrap();
+        let mut oracle = DataArray::new(spec.build().unwrap(), UNITS, UNIT_BYTES).unwrap();
+        let trace = |seed: u64| record_trace(store.data_units(), seed, 10);
+        let mut failed: Failed = Vec::new();
+        let mut phase = |label: &str, seed: u64, failed: &mut Failed| {
+            let requests = trace(seed);
+            let label = format!("{name} {label}");
+            replay_planned(
+                &store,
+                &mut oracle,
+                requests.requests(),
+                tag + seed,
+                failed,
+                &label,
+            );
+        };
+        phase("fault-free", 1, &mut failed);
+
+        store.fail_disk(1).unwrap();
+        failed.push((1, None));
+        phase("degraded", 2, &mut failed);
+
+        store.replace_disk().unwrap();
+        failed[0].1 = Some(vec![false; UNITS as usize]);
+        phase("mid-rebuild", 3, &mut failed);
+        store.rebuild(2).unwrap();
+        failed.clear();
+
+        if spec.parity_units() == 2 {
+            for disk in [3, 8] {
+                store.fail_disk(disk).unwrap();
+                failed.push((disk, None));
+            }
+            phase("two failed", 4, &mut failed);
+            store.replace_disk().unwrap();
+            for (_, rebuilt) in failed.iter_mut() {
+                *rebuilt = Some(vec![false; UNITS as usize]);
+            }
+            phase("two mid-rebuild", 5, &mut failed);
+            store.rebuild(2).unwrap();
+        }
+        store.verify_parity().unwrap();
+        store.close().unwrap();
+    }
 }

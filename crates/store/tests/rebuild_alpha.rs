@@ -91,3 +91,59 @@ fn raid5_rebuild_reads_every_surviving_disk_fully() {
     store.verify_parity().unwrap();
     store.close().unwrap();
 }
+
+#[test]
+fn pq_rebuild_reads_a_third_of_the_survivors() {
+    // P+Q on C = 10, G = 5: every rebuilt unit is decoded from G − m = 3
+    // survivors (the other data units and P, or all data for a lost
+    // parity), so the rebuild reads (G−2)/(C−1) = 1/3 of the surviving
+    // units, not the single-parity α = (G−1)/(C−1) = 4/9. The split
+    // across disks follows which survivors hold P and Q in each shared
+    // stripe, so it is exact in aggregate, not disk by disk.
+    let spec = LayoutSpec::Pq {
+        disks: 10,
+        group: 5,
+    };
+    let units = 2 * spec.build().unwrap().table_height();
+    let store = BlockStore::create(&fresh_dir("pq-c10-g5"), spec, units, 512, 79).unwrap();
+    for logical in 0..store.data_units() {
+        store
+            .write_unit(logical, &vec![(logical % 241) as u8; 512])
+            .unwrap();
+    }
+    store.fail_disk(0).unwrap();
+    store.replace_disk().unwrap();
+    let report = store.rebuild(4).unwrap();
+
+    assert!(
+        (report.alpha - 1.0 / 3.0).abs() < 1e-12,
+        "α = {}",
+        report.alpha
+    );
+    assert_eq!(report.units_unmapped, 0, "two whole tables");
+    assert_eq!(report.units_rebuilt, units);
+    let survivors_mapped: u64 = report.mapped_units_per_disk[1..].iter().sum();
+    let survivor_reads: u64 = report.disk_reads[1..].iter().sum();
+    assert_eq!(survivors_mapped, 9 * units);
+    assert_eq!(
+        3 * survivor_reads,
+        survivors_mapped,
+        "{:?}",
+        report.disk_reads
+    );
+    for disk in 1..10u16 {
+        let fraction = report.read_fraction(disk);
+        assert!(
+            fraction < 4.0 / 9.0,
+            "disk {disk}: read {fraction:.4} of its units, not below 4/9"
+        );
+    }
+    assert_eq!(report.disk_reads[0], 0);
+    store.verify_parity().unwrap();
+    let mut buf = vec![0u8; 512];
+    for logical in 0..store.data_units() {
+        store.read_unit(logical, &mut buf).unwrap();
+        assert_eq!(buf, vec![(logical % 241) as u8; 512], "unit {logical}");
+    }
+    store.close().unwrap();
+}
