@@ -44,12 +44,10 @@
 pub mod queueing;
 pub mod reliability;
 
-use serde::{Deserialize, Serialize};
-
 pub use decluster_core::recon::ReconAlgorithm;
 
 /// Per-disk access rates at a given reconstruction state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadBreakdown {
     /// User accesses per second landing on each surviving disk.
     pub survivor_rate: f64,
@@ -61,7 +59,7 @@ pub struct LoadBreakdown {
 
 /// The Muntz & Lui-style fluid model of a declustered array under
 /// reconstruction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MuntzLuiModel {
     /// Number of disks `C`.
     pub disks: u16,

@@ -24,10 +24,9 @@
 //!   independent fan-out stages.
 
 use decluster_core::recon::ReconAlgorithm;
-use serde::{Deserialize, Serialize};
 
 /// Service-time moments of one random disk access.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceMoments {
     /// `E[S]`, milliseconds.
     pub mean_ms: f64,
@@ -67,7 +66,7 @@ impl ServiceMoments {
 }
 
 /// The M/G/1 view of one disk at a given arrival rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskQueue {
     /// Arrival rate, accesses per second.
     pub lambda_per_sec: f64,
@@ -170,7 +169,7 @@ fn inverse_normal_cdf(p: f64) -> f64 {
 }
 
 /// Predicted mean response times for the array.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResponsePrediction {
     /// Mean user read response, ms (`None` = a queue is unstable).
     pub read_ms: Option<f64>,

@@ -20,8 +20,6 @@
 //! — the expected time until a second disk of the same array fails while
 //! the first is still being repaired.
 
-use serde::{Deserialize, Serialize};
-
 /// Mean time to data loss, in hours, for a `disks`-wide
 /// single-failure-correcting array.
 ///
@@ -145,7 +143,7 @@ pub fn data_loss_probability(mttdl_hours: f64, horizon_hours: f64) -> f64 {
 
 /// One row of the configuration trade-off: what a stripe width `G` buys
 /// and costs on a `C`-disk array.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TradeoffPoint {
     /// Parity stripe width.
     pub group: u16,

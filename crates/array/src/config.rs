@@ -1,7 +1,6 @@
 //! Array configuration.
 
 use decluster_disk::{Geometry, MediaFaultConfig, SchedPolicy};
-use serde::{Deserialize, Serialize};
 
 /// Patrol-read scrubbing policy: a background process that cycles through
 /// parity stripes verifying every unit, so latent sector errors are found
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// bounded amount: at most [`ScrubConfig::max_outstanding`] verify cycles
 /// are in flight at once, and when user requests are in flight a kick
 /// backs off instead of claiming a stripe.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScrubConfig {
     /// Master switch. Disabled (the default) costs nothing: runs are
     /// byte-identical with PR-2 behavior.
@@ -88,7 +87,7 @@ impl Default for ScrubConfig {
 /// assert_eq!(cfg.unit_sectors, 8); // 4 KB stripe units of 512-byte sectors
 /// assert_eq!(cfg.units_per_disk(), 79_716);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrayConfig {
     /// Per-disk geometry (all disks identical).
     pub geometry: Geometry,

@@ -1,7 +1,6 @@
 //! Result types returned by array simulations.
 
 use decluster_sim::{LatencyHistogram, Observations, OnlineStats, ResponseStats, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// User-visible response-time statistics, shared by [`RunReport`] and
 /// [`ReconReport`].
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// — the parallel sweep runner combines per-shard histograms in
 /// submission order and gets byte-identical reports at any thread
 /// count.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OpStats {
     /// Response times of user reads completed in the measurement window.
     pub reads: ResponseStats,
@@ -87,7 +86,7 @@ impl OpStats {
 }
 
 /// Why a stripe lost data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LossCause {
     /// A second whole-disk failure made two of the stripe's units
     /// unavailable.
@@ -101,7 +100,7 @@ pub enum LossCause {
 }
 
 /// One parity stripe that lost data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LostStripe {
     /// The stripe's id in the array mapping.
     pub stripe: u64,
@@ -119,7 +118,7 @@ pub struct LostStripe {
 /// fatal fault landed.
 ///
 /// An empty report (the [`Default`]) means the run lost nothing.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DataLossReport {
     /// Every stripe that lost data, in stripe-id order for whole-disk
     /// failures, discovery order for media errors.
@@ -162,7 +161,7 @@ impl DataLossReport {
 }
 
 /// What the patrol-read scrubber did over a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScrubReport {
     /// Stripe verify cycles completed (a stripe re-verified on a later
     /// pass counts again).
@@ -186,7 +185,7 @@ pub struct ScrubReport {
 /// torn mid-flight and which stripes the dirty-region log would have
 /// listed. Produced when a [`crate::CrashPlan`] fires; consumed by
 /// [`crate::recovery::recover`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CrashReport {
     /// When the power cut landed.
     pub at: SimTime,
@@ -212,7 +211,7 @@ impl CrashReport {
 }
 
 /// How restart recovery decides which stripes to verify.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecoveryPolicy {
     /// Verify every mapped stripe — correct with no logging at all, but
     /// the whole array must be read.
@@ -236,7 +235,7 @@ impl RecoveryPolicy {
 /// Exact accounting of one restart recovery: what was scanned, what was
 /// torn, what was repaired, and how long the pass took on the simulated
 /// disks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConsistencyReport {
     /// The policy that ran.
     pub policy: RecoveryPolicy,
@@ -257,7 +256,7 @@ pub struct ConsistencyReport {
 }
 
 /// Results of a steady-state run (fault-free or degraded mode).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunReport {
     /// User response-time statistics (reads, writes, combined), with
     /// log-scaled latency histograms.
@@ -297,7 +296,7 @@ pub struct RunReport {
 }
 
 /// Per-phase timing of reconstruction cycles (the paper's Table 8-1 rows).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CycleStats {
     /// Read-phase duration (collect + XOR the surviving units), ms.
     pub read_ms: OnlineStats,
@@ -313,7 +312,7 @@ impl CycleStats {
 }
 
 /// Results of a reconstruction run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReconReport {
     /// Wall-clock reconstruction time, or `None` if the run hit its limit
     /// before the replacement was fully rebuilt.

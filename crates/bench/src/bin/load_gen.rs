@@ -30,7 +30,7 @@
 
 use decluster_bench::trajectory::{append_entry, git_rev, unix_time};
 use decluster_server::{Client, ClientConfig, Server, ServerConfig};
-use decluster_sim::LatencyHistogram;
+use decluster_sim::{json, LatencyHistogram};
 use decluster_store::{BlockStore, LayoutSpec, BLOCK_BYTES};
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier, Mutex};
@@ -284,20 +284,17 @@ impl PhaseResult {
     }
 
     fn to_json(&self) -> String {
-        format!(
-            "{{\"ops\": {}, \"wall_secs\": {:.6}, \"units_per_sec\": {:.3}, \
-             \"mb_s\": {:.3}, \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \
-             \"mean_ms\": {:.4}, \"max_us\": {}}}",
-            self.ops,
-            self.wall_secs,
-            self.units_per_sec(),
-            self.mb_s(),
-            self.latency.quantile_us(0.50),
-            self.latency.quantile_us(0.95),
-            self.latency.quantile_us(0.99),
-            self.latency.mean_ms(),
-            self.latency.max_us(),
-        )
+        json::object(|o| {
+            o.int("ops", self.ops)
+                .fixed("wall_secs", self.wall_secs, 6)
+                .fixed("units_per_sec", self.units_per_sec(), 3)
+                .fixed("mb_s", self.mb_s(), 3)
+                .int("p50_us", self.latency.quantile_us(0.50))
+                .int("p95_us", self.latency.quantile_us(0.95))
+                .int("p99_us", self.latency.quantile_us(0.99))
+                .fixed("mean_ms", self.latency.mean_ms(), 4)
+                .int("max_us", self.latency.max_us());
+        })
     }
 }
 
@@ -550,51 +547,41 @@ fn main() {
         0.0
     };
 
-    let mut entry = String::new();
-    entry.push_str("  {\n");
-    entry.push_str(&format!("    \"git_rev\": \"{}\",\n", git_rev()));
-    entry.push_str(&format!("    \"unix_time\": {},\n", unix_time()));
-    entry.push_str(&format!("    \"smoke\": {},\n", cfg.smoke));
-    entry.push_str(&format!("    \"layout\": \"{}\",\n", spec));
-    entry.push_str(&format!("    \"disks\": {},\n", cfg.disks));
-    entry.push_str(&format!("    \"group\": {},\n", cfg.group));
-    entry.push_str(&format!("    \"alpha\": {alpha:.6},\n"));
-    entry.push_str(&format!("    \"unit_bytes\": {},\n", cfg.unit_bytes));
-    entry.push_str(&format!("    \"data_units\": {data_units},\n"));
-    entry.push_str(&format!("    \"clients\": {},\n", cfg.clients));
-    entry.push_str(&format!("    \"ops_per_client\": {},\n", cfg.ops));
-    entry.push_str(&format!("    \"seed\": {},\n", cfg.seed));
-    entry.push_str(&format!("    \"deadline_us\": {},\n", cfg.deadline_us));
-    entry.push_str(&format!("    \"victim_disk\": {},\n", cfg.victim));
-    entry.push_str(&format!(
-        "    \"rebuild_threads\": {},\n",
-        cfg.rebuild_threads
-    ));
-    entry.push_str(&format!("    \"rebuild_secs\": {rebuild_secs:.6},\n"));
-    entry.push_str("    \"phases\": {");
-    for (i, p) in phases.iter().enumerate() {
-        if i > 0 {
-            entry.push_str(", ");
-        }
-        entry.push_str(&format!("\"{}\": {}", p.name, p.to_json()));
-    }
-    entry.push_str("},\n");
-    entry.push_str(&format!(
-        "    \"errors\": {{\"dropped_sessions\": 0, \"client_errors\": {error_count}, \
-         \"mismatches\": {mismatches}}},\n"
-    ));
-    entry.push_str(&format!("    \"reconnects\": {reconnects},\n"));
-    entry.push_str(&format!(
-        "    \"overload_backoffs\": {overload_backoffs},\n"
-    ));
-    entry.push_str(&format!("    \"sessions\": {sessions},\n"));
-    entry.push_str(&format!(
-        "    \"degraded_over_healthy\": {degraded_over_healthy:.4},\n"
-    ));
-    entry.push_str(&format!("    \"degraded_floor_frac\": {floor_frac:.4},\n"));
-    entry.push_str(&format!("    \"server_stats\": {}\n", stats.trim_end()));
-    entry.push_str("  }");
-    match append_entry(&cfg.out, entry) {
+    let entry = json::object(|o| {
+        o.str("git_rev", &git_rev())
+            .int("unix_time", unix_time())
+            .bool("smoke", cfg.smoke)
+            .str("layout", &spec.to_string())
+            .int("disks", cfg.disks)
+            .int("group", cfg.group)
+            .fixed("alpha", alpha, 6)
+            .int("unit_bytes", cfg.unit_bytes)
+            .int("data_units", data_units)
+            .int("clients", cfg.clients)
+            .int("ops_per_client", cfg.ops)
+            .int("seed", cfg.seed)
+            .int("deadline_us", cfg.deadline_us)
+            .int("victim_disk", cfg.victim)
+            .int("rebuild_threads", cfg.rebuild_threads)
+            .fixed("rebuild_secs", rebuild_secs, 6)
+            .object("phases", |o| {
+                for p in &phases {
+                    o.raw(p.name, &p.to_json());
+                }
+            })
+            .object("errors", |o| {
+                o.int("dropped_sessions", 0)
+                    .int("client_errors", error_count)
+                    .int("mismatches", mismatches);
+            })
+            .int("reconnects", reconnects)
+            .int("overload_backoffs", overload_backoffs)
+            .int("sessions", sessions)
+            .fixed("degraded_over_healthy", degraded_over_healthy, 4)
+            .fixed("degraded_floor_frac", floor_frac, 4)
+            .raw("server_stats", stats.trim_end());
+    });
+    match append_entry(&cfg.out, &entry) {
         Ok(runs) => println!("appended trajectory entry to {} ({runs} runs)", cfg.out),
         Err(e) => {
             eprintln!("error: write {}: {e}", cfg.out);

@@ -13,6 +13,7 @@
 //! the store bench's MB/s. The `speedup_vs_reference` field is the
 //! wide-kernel GB/s over the scalar reference at the same size.
 
+use decluster_sim::json;
 use decluster_store::parity::{xor_delta, xor_into};
 use std::hint::black_box;
 use std::time::Instant;
@@ -130,21 +131,21 @@ fn main() {
         );
         rows.push((len, wide, delta, scalar));
     }
-    let mut json = String::from("{\n  \"kernels\": [\n");
-    for (i, (len, wide, delta, scalar)) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"bytes\": {len}, \"xor_into_gb_s\": {wide:.3}, \
-             \"xor_delta_gb_s\": {delta:.3}, \"reference_gb_s\": {scalar:.3}, \
-             \"speedup_vs_reference\": {:.3}}}{}\n",
-            wide / scalar,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
+    let kernels = rows.iter().map(|&(len, wide, delta, scalar)| {
+        json::object(|o| {
+            o.int("bytes", len)
+                .fixed("xor_into_gb_s", wide, 3)
+                .fixed("xor_delta_gb_s", delta, 3)
+                .fixed("reference_gb_s", scalar, 3)
+                .fixed("speedup_vs_reference", wide / scalar, 3);
+        })
+    });
+    let mut report = json::object(|o| json::entries(o.key("kernels"), kernels, "  ", ""));
+    report.push('\n');
     if let Some(parent) = std::path::Path::new(&out).parent() {
         std::fs::create_dir_all(parent).ok();
     }
-    match std::fs::write(&out, json) {
+    match std::fs::write(&out, report) {
         Ok(()) => println!("wrote {out}"),
         Err(e) => {
             eprintln!("error: cannot write {out}: {e}");

@@ -37,8 +37,8 @@
 //! against the last entry with the same configuration — the CI
 //! regression gate.
 
-use decluster_bench::trajectory::{field, git_rev, split_entries, unix_time};
-use decluster_sim::LatencyHistogram;
+use decluster_bench::trajectory::{append_entry, git_rev, last_match, unix_time};
+use decluster_sim::{json, LatencyHistogram};
 use decluster_store::{BlockStore, LayoutSpec, StoreError, StorePool, BLOCK_BYTES};
 use decluster_workload::{AccessKind, Workload, WorkloadSpec};
 use std::path::{Path, PathBuf};
@@ -507,96 +507,74 @@ fn bench(dir: &Path, mut args: impl Iterator<Item = String>) {
     }
 
     let spec = store.spec();
-    let mut entry = String::new();
-    entry.push_str("  {\n");
-    entry.push_str(&format!("    \"git_rev\": \"{}\",\n", git_rev()));
-    entry.push_str(&format!("    \"unix_time\": {},\n", unix_time()));
-    entry.push_str(&format!("    \"layout\": \"{}\",\n", spec));
-    entry.push_str(&format!("    \"disks\": {},\n", spec.disks()));
-    entry.push_str(&format!("    \"group\": {},\n", spec.group()));
-    entry.push_str(&format!("    \"alpha\": {:.6},\n", spec.alpha()));
-    entry.push_str(&format!("    \"unit_bytes\": {},\n", store.unit_bytes()));
-    entry.push_str(&format!("    \"data_units\": {},\n", store.data_units()));
-    entry.push_str(&format!("    \"requests\": {requests},\n"));
-    entry.push_str(&format!("    \"access_units\": {access_units},\n"));
-    entry.push_str(&format!("    \"read_fraction\": {read_fraction},\n"));
-    entry.push_str(&format!("    \"seed\": {seed},\n"));
-    entry.push_str(&format!("    \"threads\": {},\n", pool.threads()));
-    entry.push_str(&format!("    \"user_reads\": {reads},\n"));
-    entry.push_str(&format!("    \"user_writes\": {writes},\n"));
-    entry.push_str(&format!("    \"wall_secs\": {wall:.6},\n"));
-    entry.push_str(&format!("    \"units_per_sec\": {iops:.3},\n"));
-    entry.push_str(&format!("    \"throughput_mb_s\": {mb_s:.3},\n"));
-    entry.push_str(&format!(
-        "    \"latency_us\": {{\"p50\": {p50}, \"p95\": {p95}, \"p99\": {p99}, \
-         \"mean_ms\": {:.4}, \"max\": {}}},\n",
-        latency.mean_ms(),
-        latency.max_us()
-    ));
     let faults = store.fault_counters();
     let hedge_win_rate = if faults.hedged_reads == 0 {
         0.0
     } else {
         faults.hedge_wins as f64 / faults.hedged_reads as f64
     };
-    entry.push_str(&format!(
-        "    \"faults\": {{\"media_errors\": {}, \"checksum_errors\": {}, \
-         \"retry_successes\": {}, \"repaired\": {}, \"escalated\": {}, \
-         \"hedged_reads\": {}, \"hedge_wins\": {}, \"hedge_win_rate\": {:.4}, \
-         \"demotions\": {}}},\n",
-        faults.media_errors,
-        faults.checksum_errors,
-        faults.retry_successes,
-        faults.repaired,
-        faults.escalated,
-        faults.hedged_reads,
-        faults.hedge_wins,
-        hedge_win_rate,
-        faults.demotions
-    ));
-    entry.push_str("    \"per_disk\": [");
-    for (i, (a, b)) in after.iter().zip(&before).enumerate() {
-        entry.push_str(&format!(
-            "{}{{\"disk\": {i}, \"reads\": {}, \"writes\": {}}}",
-            if i == 0 { "" } else { ", " },
-            a.reads - b.reads,
-            a.writes - b.writes,
-        ));
-    }
-    entry.push_str("]\n  }");
+    let entry = json::object(|o| {
+        o.str("git_rev", &git_rev())
+            .int("unix_time", unix_time())
+            .str("layout", &spec.to_string())
+            .int("disks", spec.disks())
+            .int("group", spec.group())
+            .fixed("alpha", spec.alpha(), 6)
+            .int("unit_bytes", store.unit_bytes())
+            .int("data_units", store.data_units())
+            .int("requests", requests)
+            .int("access_units", access_units)
+            .float("read_fraction", read_fraction)
+            .int("seed", seed)
+            .int("threads", pool.threads())
+            .int("user_reads", reads)
+            .int("user_writes", writes)
+            .fixed("wall_secs", wall, 6)
+            .fixed("units_per_sec", iops, 3)
+            .fixed("throughput_mb_s", mb_s, 3)
+            .object("latency_us", |o| {
+                o.int("p50", p50)
+                    .int("p95", p95)
+                    .int("p99", p99)
+                    .fixed("mean_ms", latency.mean_ms(), 4)
+                    .int("max", latency.max_us());
+            })
+            .object("faults", |o| {
+                o.int("media_errors", faults.media_errors)
+                    .int("checksum_errors", faults.checksum_errors)
+                    .int("retry_successes", faults.retry_successes)
+                    .int("repaired", faults.repaired)
+                    .int("escalated", faults.escalated)
+                    .int("hedged_reads", faults.hedged_reads)
+                    .int("hedge_wins", faults.hedge_wins)
+                    .fixed("hedge_win_rate", hedge_win_rate, 4)
+                    .int("demotions", faults.demotions);
+            });
+        let per_disk = after.iter().zip(&before).enumerate().map(|(i, (a, b))| {
+            json::object(|o| {
+                o.int("disk", i)
+                    .int("reads", a.reads - b.reads)
+                    .int("writes", a.writes - b.writes);
+            })
+        });
+        o.array("per_disk", per_disk);
+    });
 
-    // The trajectory: an append-only array of run entries. A legacy
-    // single-object snapshot becomes the first entry.
-    let existing = std::fs::read_to_string(&out).unwrap_or_default();
-    let mut entries = split_entries(&existing);
-    // The last run whose configuration matches this one, for the gate.
-    let matches_config = |e: &String| {
-        field(e, "layout").map(str::to_string) == Some(format!("\"{}\"", spec))
-            && field(e, "disks") == Some(&spec.disks().to_string())
-            && field(e, "group") == Some(&spec.group().to_string())
-            && field(e, "unit_bytes") == Some(&store.unit_bytes().to_string())
-            && field(e, "requests") == Some(&requests.to_string())
-            && field(e, "threads") == Some(&pool.threads().to_string())
-            && field(e, "access_units").unwrap_or("1") == access_units.to_string()
-    };
-    let previous: Option<f64> = entries
-        .iter()
-        .rev()
-        .find(|e| matches_config(e))
-        .and_then(|e| field(e, "units_per_sec"))
-        .and_then(|v| v.trim_end_matches(',').parse().ok());
-    entries.push(entry);
-    let mut json = String::from("[\n");
-    json.push_str(&entries.join(",\n"));
-    json.push_str("\n]\n");
-    if let Some(parent) = PathBuf::from(&out).parent() {
-        std::fs::create_dir_all(parent).ok();
-    }
-    match std::fs::write(&out, json) {
-        Ok(()) => println!(
-            "appended trajectory entry to {out} ({} runs)",
-            entries.len()
-        ),
+    // The gate's baseline: the last run whose configuration matches.
+    let config = [
+        ("layout", format!("\"{spec}\"")),
+        ("disks", spec.disks().to_string()),
+        ("group", spec.group().to_string()),
+        ("unit_bytes", store.unit_bytes().to_string()),
+        ("requests", requests.to_string()),
+        ("threads", pool.threads().to_string()),
+        ("access_units", access_units.to_string()),
+    ];
+    let previous: Option<f64> = std::fs::read_to_string(&out)
+        .ok()
+        .and_then(|doc| json::parse(last_match(&doc, &config)?, "units_per_sec"));
+    match append_entry(&out, &entry) {
+        Ok(runs) => println!("appended trajectory entry to {out} ({runs} runs)"),
         Err(e) => fail(StoreError::io("write benchmark trajectory", &out, e)),
     }
     store.close().unwrap_or_else(|e| fail(e));

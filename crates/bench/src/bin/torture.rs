@@ -20,6 +20,7 @@
 //! ```
 
 use decluster_array::data::DataArray;
+use decluster_sim::json;
 use decluster_store::checksum::region_bytes;
 use decluster_store::{
     BlockStore, DiskBackend, FaultCounters, FaultPlan, FaultyBackend, FileBackend, InjectedFaults,
@@ -522,62 +523,71 @@ fn run(cfg: &Config, dir: &Path, out: &str) {
     };
     let wall = started.elapsed().as_secs_f64();
 
-    let json = format!(
-        "{{\n  \"seed\": {seed},\n  \"smoke\": {smoke},\n  \"layout\": \"{layout}\",\n  \
-         \"disks\": {disks},\n  \"group\": {group},\n  \"units_per_disk\": {upd},\n  \
-         \"unit_bytes\": {ub},\n  \"writers\": {writers},\n  \"ops_per_writer\": {ops},\n  \
-         \"injected\": {{\"transient_eio\": {it}, \"persistent_eio\": {ip}, \
-         \"corruptions\": {ic}, \"torn_writes\": {itw}, \"total_data_faults\": {itot}}},\n  \
-         \"detected\": {{\"media_errors\": {dm}, \"checksum_errors\": {dc}, \"total\": {dt}}},\n  \
-         \"resolved\": {{\"retry_successes\": {rr}, \"repaired\": {rp}, \"escalated\": {re}, \
-         \"total\": {rt}}},\n  \
-         \"repair\": {{\"units_read\": {pur}, \"units_written\": {puw}}},\n  \
-         \"hedge\": {{\"hedged_reads\": {hr}, \"hedge_wins\": {hw}, \"win_rate\": {hwr:.4}}},\n  \
-         \"demotions\": {dem},\n  \"demoted_disk\": {sick},\n  \
-         \"rebuild\": {{\"units_rebuilt\": {rbu}, \"wall_secs\": {rbw:.4}}},\n  \
-         \"crash\": {{\"recovery_stripes_checked\": {csc}, \"torn_repaired\": {ctr}, \
-         \"torn_writes_injected\": {itw}}},\n  \
-         \"scrub\": {{\"units_scanned\": {ssc}, \"repaired\": {srp}, \"escalated\": {sse}}},\n  \
-         \"ledger_balanced\": {ledger_balanced},\n  \"oracle_match\": {oracle_match},\n  \
-         \"wall_secs\": {wall:.3}\n}}\n",
-        seed = cfg.seed,
-        smoke = cfg.smoke,
-        layout = spec,
-        disks = DISKS,
-        group = GROUP,
-        upd = UNITS_PER_DISK,
-        writers = WRITERS,
-        ops = cfg.ops_per_writer,
-        it = injected.transient_eio,
-        ip = injected.persistent_eio,
-        ic = injected.corruptions,
-        itw = injected.torn_writes,
-        itot = injected.total_data_faults(),
-        dm = counters.media_errors,
-        dc = counters.checksum_errors,
-        dt = detected,
-        rr = counters.retry_successes,
-        rp = counters.repaired,
-        re = counters.escalated,
-        rt = resolved,
-        pur = counters.repair_units_read,
-        puw = counters.repair_units_written,
-        hr = counters.hedged_reads,
-        hw = counters.hedge_wins,
-        hwr = hedge_win_rate,
-        dem = counters.demotions,
-        rbu = rebuild.units_rebuilt,
-        rbw = rebuild.wall_secs,
-        csc = recovery.stripes_checked,
-        ctr = recovery.torn_repaired,
-        ssc = scrub.units_scanned,
-        srp = scrub.repaired,
-        sse = scrub.escalated,
-    );
+    let mut report = json::object(|o| {
+        o.int("seed", cfg.seed)
+            .bool("smoke", cfg.smoke)
+            .str("layout", &spec.to_string())
+            .int("disks", DISKS)
+            .int("group", GROUP)
+            .int("units_per_disk", UNITS_PER_DISK)
+            .int("unit_bytes", ub)
+            .int("writers", WRITERS)
+            .int("ops_per_writer", cfg.ops_per_writer)
+            .object("injected", |o| {
+                o.int("transient_eio", injected.transient_eio)
+                    .int("persistent_eio", injected.persistent_eio)
+                    .int("corruptions", injected.corruptions)
+                    .int("torn_writes", injected.torn_writes)
+                    .int("total_data_faults", injected.total_data_faults());
+            })
+            .object("detected", |o| {
+                o.int("media_errors", counters.media_errors)
+                    .int("checksum_errors", counters.checksum_errors)
+                    .int("total", detected);
+            })
+            .object("resolved", |o| {
+                o.int("retry_successes", counters.retry_successes)
+                    .int("repaired", counters.repaired)
+                    .int("escalated", counters.escalated)
+                    .int("total", resolved);
+            })
+            .object("repair", |o| {
+                o.int("units_read", counters.repair_units_read)
+                    .int("units_written", counters.repair_units_written);
+            })
+            .object("hedge", |o| {
+                o.int("hedged_reads", counters.hedged_reads)
+                    .int("hedge_wins", counters.hedge_wins)
+                    .fixed("win_rate", hedge_win_rate, 4);
+            })
+            .int("demotions", counters.demotions)
+            .int("demoted_disk", sick)
+            .object("rebuild", |o| {
+                o.int("units_rebuilt", rebuild.units_rebuilt).fixed(
+                    "wall_secs",
+                    rebuild.wall_secs,
+                    4,
+                );
+            })
+            .object("crash", |o| {
+                o.int("recovery_stripes_checked", recovery.stripes_checked)
+                    .int("torn_repaired", recovery.torn_repaired)
+                    .int("torn_writes_injected", injected.torn_writes);
+            })
+            .object("scrub", |o| {
+                o.int("units_scanned", scrub.units_scanned)
+                    .int("repaired", scrub.repaired)
+                    .int("escalated", scrub.escalated);
+            })
+            .bool("ledger_balanced", ledger_balanced)
+            .bool("oracle_match", oracle_match)
+            .fixed("wall_secs", wall, 3);
+    });
+    report.push('\n');
     if let Some(parent) = Path::new(out).parent() {
         std::fs::create_dir_all(parent).ok();
     }
-    std::fs::write(out, &json).unwrap_or_else(|e| die(&format!("write {out}: {e}")));
+    std::fs::write(out, &report).unwrap_or_else(|e| die(&format!("write {out}: {e}")));
     println!(
         "ledger: {} injected = {} detected = {} resolved (escalated {})",
         injected.total_data_faults(),

@@ -10,14 +10,11 @@
 //! bit: `trace replay <file>` re-runs the scenario and verifies every
 //! line matches.
 //!
-//! The parser is a hand-rolled field scanner for the flat JSON objects
-//! this crate itself writes (the workspace is dependency-free); it is
-//! not a general JSON reader.
+//! Lines are written and read through [`decluster_sim::json`].
 
 use decluster_core::recon::ReconAlgorithm;
 use decluster_experiments::{fig6, fig8, ExperimentScale};
-use decluster_sim::{Observations, Recorder};
-use std::fmt::Write as _;
+use decluster_sim::{json, Observations, Recorder};
 use std::path::Path;
 
 /// Which figure experiment a trace records.
@@ -62,79 +59,77 @@ pub struct TraceHeader {
 impl TraceHeader {
     /// Renders the header line (stable key order).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"e\":\"header\"");
-        let _ = write!(
-            out,
-            ",\"cylinders\":{},\"duration_secs\":{},\"warmup_secs\":{},\
-             \"recon_limit_secs\":{},\"seed\":{},\"trace_cap\":{}",
-            self.scale.cylinders,
-            self.scale.duration_secs,
-            self.scale.warmup_secs,
-            self.scale.recon_limit_secs,
-            self.scale.seed,
-            self.trace_cap,
-        );
-        match self.scenario {
-            TraceScenario::Fig6 {
-                g,
-                rate,
-                read_fraction,
-                degraded,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"experiment\":\"fig6\",\"g\":{g},\"rate\":{rate},\
-                     \"read_fraction\":{read_fraction},\"degraded\":{degraded}}}"
-                );
-            }
-            TraceScenario::Fig8 {
-                g,
-                rate,
-                algorithm,
-                processes,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"experiment\":\"fig8\",\"g\":{g},\"rate\":{rate},\
-                     \"algorithm\":\"{}\",\"processes\":{processes}}}",
-                    algorithm.name()
-                );
-            }
-        }
-        out
+        json::object(|o| {
+            o.str("e", "header")
+                .int("cylinders", self.scale.cylinders)
+                .int("duration_secs", self.scale.duration_secs)
+                .int("warmup_secs", self.scale.warmup_secs)
+                .int("recon_limit_secs", self.scale.recon_limit_secs)
+                .int("seed", self.scale.seed)
+                .int("trace_cap", self.trace_cap);
+            match self.scenario {
+                TraceScenario::Fig6 {
+                    g,
+                    rate,
+                    read_fraction,
+                    degraded,
+                } => o
+                    .str("experiment", "fig6")
+                    .int("g", g)
+                    .float("rate", rate)
+                    .float("read_fraction", read_fraction)
+                    .bool("degraded", degraded),
+                TraceScenario::Fig8 {
+                    g,
+                    rate,
+                    algorithm,
+                    processes,
+                } => o
+                    .str("experiment", "fig8")
+                    .int("g", g)
+                    .float("rate", rate)
+                    .str("algorithm", algorithm.name())
+                    .int("processes", processes),
+            };
+        })
     }
 
     /// Parses a header line written by [`TraceHeader::to_json`].
     pub fn from_json(line: &str) -> Result<TraceHeader, String> {
-        if field(line, "e") != Some("\"header\"") {
+        fn get<T: std::str::FromStr>(line: &str, key: &str) -> Result<T, String> {
+            json::parse(line, key)
+                .ok_or_else(|| format!("header field {key:?} is missing or malformed"))
+        }
+        if json::string_field(line, "e").as_deref() != Some("header") {
             return Err("first trace line is not a header".to_string());
         }
         let scale = ExperimentScale {
-            cylinders: parse_field(line, "cylinders")?,
-            duration_secs: parse_field(line, "duration_secs")?,
-            warmup_secs: parse_field(line, "warmup_secs")?,
-            recon_limit_secs: parse_field(line, "recon_limit_secs")?,
-            seed: parse_field(line, "seed")?,
+            cylinders: get(line, "cylinders")?,
+            duration_secs: get(line, "duration_secs")?,
+            warmup_secs: get(line, "warmup_secs")?,
+            recon_limit_secs: get(line, "recon_limit_secs")?,
+            seed: get(line, "seed")?,
         };
-        let trace_cap = parse_field(line, "trace_cap")?;
-        let scenario = match field(line, "experiment") {
-            Some("\"fig6\"") => TraceScenario::Fig6 {
-                g: parse_field(line, "g")?,
-                rate: parse_field(line, "rate")?,
-                read_fraction: parse_field(line, "read_fraction")?,
-                degraded: parse_field(line, "degraded")?,
+        let trace_cap = get(line, "trace_cap")?;
+        let scenario = match json::string_field(line, "experiment").as_deref() {
+            Some("fig6") => TraceScenario::Fig6 {
+                g: get(line, "g")?,
+                rate: get(line, "rate")?,
+                read_fraction: get(line, "read_fraction")?,
+                degraded: get(line, "degraded")?,
             },
-            Some("\"fig8\"") => {
-                let name = string_field(line, "algorithm")?;
+            Some("fig8") => {
+                let name = json::string_field(line, "algorithm")
+                    .ok_or("header field \"algorithm\" is missing")?;
                 let algorithm = ReconAlgorithm::ALL
                     .into_iter()
                     .find(|a| a.name() == name)
                     .ok_or_else(|| format!("unknown algorithm {name:?}"))?;
                 TraceScenario::Fig8 {
-                    g: parse_field(line, "g")?,
-                    rate: parse_field(line, "rate")?,
+                    g: get(line, "g")?,
+                    rate: get(line, "rate")?,
                     algorithm,
-                    processes: parse_field(line, "processes")?,
+                    processes: get(line, "processes")?,
                 }
             }
             other => return Err(format!("unknown experiment {other:?}")),
@@ -145,35 +140,6 @@ impl TraceHeader {
             trace_cap,
         })
     }
-}
-
-/// The raw value text of `"key":<value>` in a flat JSON object line —
-/// up to the next top-level comma or the closing brace.
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = if let Some(quoted) = rest.strip_prefix('"') {
-        quoted.find('"')? + 2
-    } else {
-        rest.find([',', '}'])?
-    };
-    Some(&rest[..end])
-}
-
-fn parse_field<T: std::str::FromStr>(line: &str, key: &str) -> Result<T, String> {
-    field(line, key)
-        .ok_or_else(|| format!("header is missing {key:?}"))?
-        .parse()
-        .map_err(|_| format!("header field {key:?} is malformed"))
-}
-
-fn string_field(line: &str, key: &str) -> Result<String, String> {
-    let raw = field(line, key).ok_or_else(|| format!("header is missing {key:?}"))?;
-    raw.strip_prefix('"')
-        .and_then(|r| r.strip_suffix('"'))
-        .map(str::to_string)
-        .ok_or_else(|| format!("header field {key:?} is not a string"))
 }
 
 /// Runs the header's scenario with the trace enabled and returns the
@@ -280,6 +246,7 @@ pub fn verify_file(path: impl AsRef<Path>) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use decluster_sim::json::field;
 
     fn tiny_fig6_header() -> TraceHeader {
         TraceHeader {

@@ -21,11 +21,10 @@ pub mod catalog;
 pub mod construct;
 
 use crate::error::Error;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The scalar parameters `(b, v, k, r, λ)` of a verified block design.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DesignParams {
     /// Number of tuples (parity stripes per block design table).
     pub b: u64,
@@ -84,7 +83,7 @@ impl fmt::Display for DesignParams {
 /// assert_eq!(d.tuples().next().unwrap(), &[0, 1, 2, 3]);
 /// # Ok::<(), decluster_core::Error>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockDesign {
     v: u16,
     k: u16,

@@ -42,11 +42,10 @@ pub use reddy::ReddyLayout;
 pub use spec::LayoutSpec;
 pub use tabular::TabularLayout;
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A physical unit location: disk index and unit offset within that disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct UnitAddr {
     /// Disk index, `0..C`.
     pub disk: u16,
@@ -69,7 +68,7 @@ impl fmt::Display for UnitAddr {
 }
 
 /// What a physical unit holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnitRole {
     /// The `index`-th data unit of parity stripe `stripe`.
     Data {

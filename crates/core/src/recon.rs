@@ -5,10 +5,8 @@
 //! and the analytic model (`decluster-analytic`) are parameterized by this
 //! type.
 
-use serde::{Deserialize, Serialize};
-
 /// Which reconstruction algorithm drives recovery (paper, Section 8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReconAlgorithm {
     /// No extra work to the replacement: user writes to lost units are
     /// folded into parity; all reads of lost units reconstruct on the fly.

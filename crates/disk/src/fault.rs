@@ -26,11 +26,10 @@
 //! the configured seed, so runs remain bit-reproducible.
 
 use decluster_sim::SimRng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// How an access finished, surfaced from [`crate::Disk::complete`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessOutcome {
     /// The transfer succeeded (possibly after transient retries that
     /// lengthened its service time).
@@ -59,7 +58,7 @@ impl AccessOutcome {
 /// The default ([`MediaFaultConfig::none`]) injects nothing and adds zero
 /// overhead, so fault-free experiments are byte-identical with or without
 /// this subsystem.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MediaFaultConfig {
     /// Probability that any given sector carries a latent media defect.
     /// Real drives quote unrecoverable-read-error rates around 1e-8 per

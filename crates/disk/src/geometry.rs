@@ -1,7 +1,5 @@
 //! Disk geometry: cylinders, tracks, sectors, skew, and rotation.
 
-use serde::{Deserialize, Serialize};
-
 /// The physical shape and spin of a disk.
 ///
 /// Logical sectors are numbered cylinder-major: all sectors of cylinder 0
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// let (cyl, track, sector) = g.locate(48 * 14 + 5);
 /// assert_eq!((cyl, track, sector), (1, 0, 5));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Geometry {
     /// Number of cylinders (seek positions).
     pub cylinders: u32,

@@ -5,13 +5,12 @@ use crate::geometry::Geometry;
 use crate::sched::{direction_after, pick_next, ArmDirection, SchedPolicy};
 use crate::seek::SeekModel;
 use decluster_sim::{OnlineStats, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Whether an access reads or writes the medium.
 ///
 /// The timing model treats them identically (as the paper's drive does);
 /// the distinction matters for statistics and for the array's data plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IoKind {
     /// Transfer from the medium.
     Read,
@@ -25,7 +24,7 @@ pub enum IoKind {
 /// paper's future-work "flexible prioritization scheme"), [`Priority::
 /// Background`] accesses are only dispatched when no [`Priority::User`]
 /// access is queued; within a class the head scheduler decides as usual.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Priority {
     /// Foreground user work (the default).
     #[default]
@@ -35,7 +34,7 @@ pub enum Priority {
 }
 
 /// One disk access: a contiguous run of sectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DiskRequest {
     /// Caller-assigned tag returned in the [`Completion`].
     pub id: u64,
@@ -80,7 +79,7 @@ pub struct Completion {
 }
 
 /// Lifetime counters for one disk.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DiskStats {
     /// Completed accesses.
     pub ios: u64,

@@ -1,7 +1,5 @@
 //! Head scheduling: the CVSCAN continuum of Geist & Daniel, plus FCFS.
 
-use serde::{Deserialize, Serialize};
-
 /// Which request the disk services next.
 ///
 /// The paper's array uses CVSCAN head scheduling (Table 5-1 (c), citing
@@ -11,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// direction of travel: `R = 0` degenerates to SSTF, `R = 1` to SCAN, and
 /// intermediate values trade SSTF's throughput for SCAN's fairness. Geist &
 /// Daniel found `R ≈ 0.2` near-optimal, which is our default.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SchedPolicy {
     /// First come, first served (for ablations).
     Fcfs,

@@ -1,7 +1,6 @@
 //! Seek-time model: a three-parameter curve fit to drive specifications.
 
 use crate::geometry::Geometry;
-use serde::{Deserialize, Serialize};
 
 /// Seek time as a function of seek distance.
 ///
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((m.seek_us(1) - 2_000.0).abs() < 1.0);      // min spec
 /// assert!((m.seek_us(948) - 25_000.0).abs() < 1.0);   // max spec
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeekModel {
     a_us: f64,
     b_us: f64,

@@ -15,10 +15,9 @@ use decluster_array::ArraySim;
 use decluster_core::error::Error;
 use decluster_sim::SimTime;
 use decluster_workload::WorkloadSpec;
-use serde::{Deserialize, Serialize};
 
 /// One measured point: a (layout, access size) pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccessSizePoint {
     /// Parity stripe width of the layout.
     pub group: u16,

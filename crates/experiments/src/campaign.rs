@@ -65,13 +65,12 @@ use decluster_array::{
 use decluster_core::error::Error;
 use decluster_core::layout::{LayoutSpec, ParityLayout};
 use decluster_disk::MediaFaultConfig;
-use decluster_sim::{DiskTimeline, NoProbe, Probe, Recorder, SimRng, SimTime};
+use decluster_sim::{json, DiskTimeline, NoProbe, Probe, Recorder, SimRng, SimTime};
 use decluster_workload::WorkloadSpec;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A repair organization under campaign test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CampaignLayout {
     /// Parity declustering with stripe width `g`, rebuilt onto a
     /// dedicated replacement disk.
@@ -175,7 +174,7 @@ impl CampaignLayout {
 
 /// What to run: scale, trial count, and the failure/repair parameters
 /// shared by every layout.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSpec {
     /// Disk size, seeds, and simulated-time caps.
     pub scale: ExperimentScale,
@@ -281,7 +280,7 @@ impl CampaignSpec {
 
 /// One Monte Carlo trial: a second whole-disk failure injected into a
 /// rebuild, and what it cost.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrialOutcome {
     /// Trial index within the layout (also the stratification slot).
     pub trial: usize,
@@ -315,34 +314,27 @@ pub struct TrialOutcome {
 impl TrialOutcome {
     /// Renders the trial as a JSON object (stable key order).
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"trial\":{},\"seed_stream\":{},\"second_disk\":{},",
-                "\"second_at_secs\":{},\"rebuilt_fraction\":{},",
-                "\"user_p50_ms\":{},\"user_p95_ms\":{},\"user_p99_ms\":{},",
-                "\"lost_stripes\":{},\"lost_data_units\":{},",
-                "\"lost_parity_units\":{},\"recon_completed\":{}}}"
-            ),
-            self.trial,
-            self.seed_stream,
-            self.second_disk,
-            json_f64(self.second_at_secs),
-            json_f64(self.rebuilt_fraction),
-            json_f64(self.user_p50_ms),
-            json_f64(self.user_p95_ms),
-            json_f64(self.user_p99_ms),
-            self.lost_stripes,
-            self.lost_data_units,
-            self.lost_parity_units,
-            self.recon_completed,
-        )
+        json::object(|o| {
+            o.int("trial", self.trial)
+                .int("seed_stream", self.seed_stream)
+                .int("second_disk", self.second_disk)
+                .float("second_at_secs", self.second_at_secs)
+                .float("rebuilt_fraction", self.rebuilt_fraction)
+                .float("user_p50_ms", self.user_p50_ms)
+                .float("user_p95_ms", self.user_p95_ms)
+                .float("user_p99_ms", self.user_p99_ms)
+                .int("lost_stripes", self.lost_stripes)
+                .int("lost_data_units", self.lost_data_units)
+                .int("lost_parity_units", self.lost_parity_units)
+                .bool("recon_completed", self.recon_completed);
+        })
     }
 }
 
 /// One scrub-arm trial: latent defects seeded, a second whole-disk fault
 /// injected mid-rebuild, and how many defects were still exposed on the
 /// surviving disks when it hit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScrubTrialOutcome {
     /// Trial index within the arm (also the stratification slot).
     pub trial: usize,
@@ -369,27 +361,21 @@ pub struct ScrubTrialOutcome {
 impl ScrubTrialOutcome {
     /// Renders the trial as a JSON object (stable key order).
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"trial\":{},\"seed_stream\":{},\"second_disk\":{},",
-                "\"second_at_secs\":{},\"exposed_defects\":{},",
-                "\"errors_found\":{},\"errors_repaired\":{},",
-                "\"lost_stripes\":{}}}"
-            ),
-            self.trial,
-            self.seed_stream,
-            self.second_disk,
-            json_f64(self.second_at_secs),
-            self.exposed_defects,
-            self.errors_found,
-            self.errors_repaired,
-            self.lost_stripes,
-        )
+        json::object(|o| {
+            o.int("trial", self.trial)
+                .int("seed_stream", self.seed_stream)
+                .int("second_disk", self.second_disk)
+                .float("second_at_secs", self.second_at_secs)
+                .int("exposed_defects", self.exposed_defects)
+                .int("errors_found", self.errors_found)
+                .int("errors_repaired", self.errors_repaired)
+                .int("lost_stripes", self.lost_stripes);
+        })
     }
 }
 
 /// One side of the scrub arm (patrol off or on), folded over its trials.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScrubArmSummary {
     /// Whether the patrol scrubber ran in this arm.
     pub scrub_enabled: bool,
@@ -409,26 +395,20 @@ pub struct ScrubArmSummary {
 impl ScrubArmSummary {
     /// Renders the arm as a JSON object (stable key order).
     pub fn to_json(&self) -> String {
-        let trials: Vec<String> = self.trials.iter().map(|t| t.to_json()).collect();
-        format!(
-            concat!(
-                "{{\"scrub_enabled\":{},\"mean_exposed_defects\":{},",
-                "\"errors_found\":{},\"errors_repaired\":{},\"p_loss\":{},",
-                "\"trials\":[{}]}}"
-            ),
-            self.scrub_enabled,
-            json_f64(self.mean_exposed_defects),
-            self.errors_found,
-            self.errors_repaired,
-            json_f64(self.p_loss),
-            trials.join(","),
-        )
+        json::object(|o| {
+            o.bool("scrub_enabled", self.scrub_enabled)
+                .float("mean_exposed_defects", self.mean_exposed_defects)
+                .int("errors_found", self.errors_found)
+                .int("errors_repaired", self.errors_repaired)
+                .float("p_loss", self.p_loss)
+                .array("trials", self.trials.iter().map(ScrubTrialOutcome::to_json));
+        })
     }
 }
 
 /// One restart-recovery pass of a crash trial, distilled from the
 /// simulator's [`ConsistencyReport`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryOutcome {
     /// Recovery wall time, seconds.
     pub recovery_secs: f64,
@@ -458,25 +438,20 @@ impl RecoveryOutcome {
 
     /// Renders the pass as a JSON object (stable key order).
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"recovery_secs\":{},\"stripes_checked\":{},",
-                "\"torn_found\":{},\"torn_repaired\":{},",
-                "\"units_read\":{},\"units_written\":{}}}"
-            ),
-            json_f64(self.recovery_secs),
-            self.stripes_checked,
-            self.torn_found,
-            self.torn_repaired,
-            self.units_read,
-            self.units_written,
-        )
+        json::object(|o| {
+            o.float("recovery_secs", self.recovery_secs)
+                .int("stripes_checked", self.stripes_checked)
+                .int("torn_found", self.torn_found)
+                .int("torn_repaired", self.torn_repaired)
+                .int("units_read", self.units_read)
+                .int("units_written", self.units_written);
+        })
     }
 }
 
 /// One crash trial: power cut mid-rebuild, then restart recovery run
 /// under both policies against the same crash state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrashTrialOutcome {
     /// Trial index within the arm (also the stratification slot).
     pub trial: usize,
@@ -499,26 +474,21 @@ pub struct CrashTrialOutcome {
 impl CrashTrialOutcome {
     /// Renders the trial as a JSON object (stable key order).
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"trial\":{},\"seed_stream\":{},\"crash_at_secs\":{},",
-                "\"torn_stripes\":{},\"dirty_stripes\":{},",
-                "\"full\":{},\"drl\":{}}}"
-            ),
-            self.trial,
-            self.seed_stream,
-            json_f64(self.crash_at_secs),
-            self.torn_stripes,
-            self.dirty_stripes,
-            self.full.to_json(),
-            self.drl.to_json(),
-        )
+        json::object(|o| {
+            o.int("trial", self.trial)
+                .int("seed_stream", self.seed_stream)
+                .float("crash_at_secs", self.crash_at_secs)
+                .int("torn_stripes", self.torn_stripes)
+                .int("dirty_stripes", self.dirty_stripes)
+                .raw("full", &self.full.to_json())
+                .raw("drl", &self.drl.to_json());
+        })
     }
 }
 
 /// One layout's campaign outcome: the calibrated rebuild time, every
 /// trial, and the loss statistics over them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayoutSummary {
     /// Layout name (see [`CampaignLayout::name`]).
     pub name: String,
@@ -562,67 +532,49 @@ pub struct LayoutSummary {
 }
 
 impl LayoutSummary {
-    /// Renders the summary as a JSON object (stable key order).
+    /// Renders the summary as a JSON object (stable key order), laid
+    /// out over lines at the indent of an entry of the report's array.
     pub fn to_json(&self) -> String {
-        let trials: Vec<String> = self
-            .trials
-            .iter()
-            .map(|t| format!("      {}", t.to_json()))
-            .collect();
-        let scrub_arms: Vec<String> = self
-            .scrub_arms
-            .iter()
-            .map(|a| format!("      {}", a.to_json()))
-            .collect();
-        let crash_trials: Vec<String> = self
-            .crash_trials
-            .iter()
-            .map(|c| format!("      {}", c.to_json()))
-            .collect();
-        let block = |items: Vec<String>| {
-            if items.is_empty() {
-                String::new()
-            } else {
-                format!("\n{}\n      ", items.join(",\n"))
-            }
-        };
-        format!(
-            concat!(
-                "{{\n",
-                "      \"name\":\"{}\",\"group\":{},\"alpha\":{},\n",
-                "      \"baseline_recon_secs\":{},\"p_loss\":{},",
-                "\"p_loss_during_rebuild\":{},\n",
-                "      \"mean_lost_stripes\":{},\"window_secs\":{},",
-                "\"mttdl_hours\":{},\n",
-                "      \"baseline_utilization\":[{}],\n",
-                "      \"trials\":[\n{}\n      ],\n",
-                "      \"scrub_arms\":[{}],\n",
-                "      \"crash_trials\":[{}]\n    }}"
-            ),
-            self.name,
-            self.group,
-            json_f64(self.alpha),
-            json_f64(self.baseline_recon_secs),
-            json_f64(self.p_loss),
-            json_f64(self.p_loss_during_rebuild),
-            json_f64(self.mean_lost_stripes),
-            json_f64(self.window_secs),
-            self.mttdl_hours.map_or("null".to_string(), json_f64),
-            self.baseline_utilization
-                .iter()
-                .map(DiskTimeline::to_json)
-                .collect::<Vec<_>>()
-                .join(","),
-            trials.join(",\n"),
-            block(scrub_arms),
-            block(crash_trials),
-        )
+        const INDENT: &str = "      ";
+        json::object(|o| {
+            o.newline(INDENT)
+                .str("name", &self.name)
+                .int("group", self.group)
+                .float("alpha", self.alpha)
+                .newline(INDENT)
+                .float("baseline_recon_secs", self.baseline_recon_secs)
+                .float("p_loss", self.p_loss)
+                .float("p_loss_during_rebuild", self.p_loss_during_rebuild)
+                .newline(INDENT)
+                .float("mean_lost_stripes", self.mean_lost_stripes)
+                .float("window_secs", self.window_secs);
+            match self.mttdl_hours {
+                Some(hours) => o.float("mttdl_hours", hours),
+                None => o.raw("mttdl_hours", "null"),
+            };
+            o.newline(INDENT);
+            let utilization = self.baseline_utilization.iter();
+            o.array(
+                "baseline_utilization",
+                utilization.map(DiskTimeline::to_json),
+            );
+            o.newline(INDENT);
+            let trials = self.trials.iter().map(TrialOutcome::to_json);
+            json::entries(o.key("trials"), trials, INDENT, INDENT);
+            o.newline(INDENT);
+            let arms = self.scrub_arms.iter().map(ScrubArmSummary::to_json);
+            json::entries(o.key("scrub_arms"), arms, INDENT, INDENT);
+            o.newline(INDENT);
+            let crashes = self.crash_trials.iter().map(CrashTrialOutcome::to_json);
+            json::entries(o.key("crash_trials"), crashes, INDENT, INDENT);
+            o.newline("    ");
+        })
     }
 }
 
 /// A whole campaign: the spec's shared parameters plus every layout's
 /// summary, as written to `results/campaign.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignReport {
     /// Monte Carlo trials per layout.
     pub trials_per_layout: usize,
@@ -646,41 +598,28 @@ impl CampaignReport {
     /// Renders the report as a JSON document (stable key order; identical
     /// bytes for identical specs, whatever the thread count).
     pub fn to_json(&self) -> String {
-        let layouts: Vec<String> = self
-            .layouts
-            .iter()
-            .map(|l| format!("    {}", l.to_json()))
-            .collect();
-        format!(
-            concat!(
-                "{{\n",
-                "  \"trials_per_layout\":{},\"scrub_trials_per_layout\":{},",
-                "\"crash_trials_per_layout\":{},\"latent_rate\":{},",
-                "\"horizon_factor\":{},\"mtbf_hours\":{},\"seed\":{},\n",
-                "  \"layouts\":[\n{}\n  ]\n}}\n"
-            ),
-            self.trials_per_layout,
-            self.scrub_trials_per_layout,
-            self.crash_trials_per_layout,
-            json_f64(self.latent_rate),
-            json_f64(self.horizon_factor),
-            json_f64(self.mtbf_hours),
-            self.seed,
-            layouts.join(",\n"),
-        )
+        let mut doc = json::object(|o| {
+            o.newline("  ")
+                .int("trials_per_layout", self.trials_per_layout)
+                .int("scrub_trials_per_layout", self.scrub_trials_per_layout)
+                .int("crash_trials_per_layout", self.crash_trials_per_layout)
+                .float("latent_rate", self.latent_rate)
+                .float("horizon_factor", self.horizon_factor)
+                .float("mtbf_hours", self.mtbf_hours)
+                .int("seed", self.seed)
+                .newline("  ");
+            let layouts = self.layouts.iter().map(LayoutSummary::to_json);
+            json::entries(o.key("layouts"), layouts, "    ", "  ");
+            o.newline("");
+        });
+        doc.push('\n');
+        doc
     }
 
     /// The summary for `name`, if the campaign ran that layout.
     pub fn layout(&self, name: &str) -> Option<&LayoutSummary> {
         self.layouts.iter().find(|l| l.name == name)
     }
-}
-
-/// JSON rendering of a finite `f64` via the shortest round-trip `Display`
-/// form, so reports are byte-identical across runs and thread counts.
-fn json_f64(x: f64) -> String {
-    debug_assert!(x.is_finite(), "campaign reports only finite values");
-    format!("{x}")
 }
 
 /// The array configuration builder shared by every run of `layout` in

@@ -7,10 +7,9 @@
 
 use decluster_core::design::catalog;
 use decluster_core::design::DesignParams;
-use serde::{Deserialize, Serialize};
 
 /// One point of the Figure 4-3 scatter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig4Point {
     /// Objects (disks), the x-axis.
     pub v: u16,

@@ -13,10 +13,9 @@ use decluster_array::ArraySim;
 use decluster_core::error::Error;
 use decluster_sim::{Observations, Recorder, SimTime};
 use decluster_workload::WorkloadSpec;
-use serde::{Deserialize, Serialize};
 
 /// One point of Figure 6-1/6-2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig6Point {
     /// Parity stripe width `G`.
     pub group: u16,

@@ -14,10 +14,9 @@ use decluster_array::{ArraySim, ReconAlgorithm, ReconOptions, ReconReport};
 use decluster_core::error::Error;
 use decluster_sim::{Observations, Recorder, SimTime};
 use decluster_workload::WorkloadSpec;
-use serde::{Deserialize, Serialize};
 
 /// One point of Figures 8-1 … 8-4.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8Point {
     /// Parity stripe width `G`.
     pub group: u16,

@@ -12,13 +12,12 @@ use crate::{alpha_sweep, ExperimentScale, PAPER_DISKS};
 use decluster_analytic::MuntzLuiModel;
 use decluster_core::error::Error;
 use decluster_core::recon::ReconAlgorithm;
-use serde::{Deserialize, Serialize};
 
 /// The paper's single-rate disk model input: ~46 random 4 KB accesses/s.
 pub const MU: f64 = 46.0;
 
 /// One α point of Figure 8-6.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig86Point {
     /// Parity stripe width `G`.
     pub group: u16,

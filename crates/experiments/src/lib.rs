@@ -47,7 +47,6 @@ pub use runner::{Runner, SweepReport, SweepRun};
 use decluster_core::design::appendix;
 use decluster_core::error::Error;
 use decluster_core::layout::{LayoutSpec, ParityLayout};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The paper's array size.
@@ -86,7 +85,7 @@ pub fn paper_layout(g: u16) -> Result<Arc<dyn ParityLayout>, Error> {
 }
 
 /// How big to run an experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentScale {
     /// Cylinders per disk (949 = the real IBM 0661).
     pub cylinders: u32,

@@ -17,11 +17,10 @@ use decluster_core::error::Error;
 use decluster_core::layout::{LayoutSpec, ParityLayout};
 use decluster_sim::SimTime;
 use decluster_workload::WorkloadSpec;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The organizations compared.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Organization {
     /// Block-design parity declustering with stripe width `G`.
     ParityDeclustered {
@@ -59,7 +58,7 @@ impl Organization {
 }
 
 /// One measured comparison row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MirrorPoint {
     /// The organization measured.
     pub organization: Organization,

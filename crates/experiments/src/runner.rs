@@ -22,7 +22,7 @@
 //! deterministic simulation — so a sweep's output is byte-identical
 //! whether it ran on one thread or sixteen.
 
-use serde::{Deserialize, Serialize};
+use decluster_sim::json;
 use std::sync::mpsc;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -142,7 +142,7 @@ fn timed<T>(index: usize, job: impl FnOnce() -> (T, u64)) -> (T, JobStat) {
 }
 
 /// Wall-clock and throughput accounting for one job of a sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobStat {
     /// The job's position in the sweep (submission order).
     pub index: usize,
@@ -227,7 +227,7 @@ impl<T, E> SweepRun<Result<T, E>> {
 
 /// Throughput summary of one sweep, as recorded in
 /// `results/bench_sweep.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepReport {
     /// What was swept (e.g. `"fig6-smoke"`).
     pub name: String,
@@ -246,18 +246,14 @@ pub struct SweepReport {
 impl SweepReport {
     /// Renders the report as a JSON object (stable key order).
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"name\":\"{}\",\"jobs\":{},\"threads\":{},",
-                "\"wall_secs\":{:.6},\"events\":{},\"events_per_sec\":{:.1}}}"
-            ),
-            escape_json(&self.name),
-            self.jobs,
-            self.threads,
-            self.wall_secs,
-            self.events,
-            self.events_per_sec,
-        )
+        json::object(|o| {
+            o.str("name", &self.name)
+                .int("jobs", self.jobs)
+                .int("threads", self.threads)
+                .fixed("wall_secs", self.wall_secs, 6)
+                .int("events", self.events)
+                .fixed("events_per_sec", self.events_per_sec, 1);
+        })
     }
 
     /// One-line human rendering for run footers.
@@ -275,20 +271,6 @@ impl SweepReport {
     }
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Writes sweep reports as a JSON array, creating parent directories.
 ///
 /// # Errors
@@ -302,11 +284,10 @@ pub fn write_reports(
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
-    let body: Vec<String> = reports
-        .iter()
-        .map(|r| format!("  {}", r.to_json()))
-        .collect();
-    std::fs::write(path, format!("[\n{}\n]\n", body.join(",\n")))
+    let mut doc = String::new();
+    json::entries(&mut doc, reports.iter().map(SweepReport::to_json), "  ", "");
+    doc.push('\n');
+    std::fs::write(path, doc)
 }
 
 #[cfg(test)]

@@ -32,6 +32,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use decluster_sim::json;
 use decluster_store::{BlockStore, RebuildReport, ScrubReport, StoreError, BLOCK_BYTES};
 
 use crate::protocol::{
@@ -585,54 +586,29 @@ fn store_error(error: &StoreError) -> (Status, Vec<u8>) {
 }
 
 fn rebuild_json(report: &RebuildReport) -> String {
-    let list = |values: &[u64]| {
-        let mut out = String::from("[");
-        for (i, v) in values.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&v.to_string());
-        }
-        out.push(']');
-        out
-    };
-    let failed = |disks: &[u16]| {
-        let mut out = String::from("[");
-        for (i, v) in disks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&v.to_string());
-        }
-        out.push(']');
-        out
-    };
-    format!(
-        "{{\"failed_disk\":{},\"failed_disks\":{},\"units_rebuilt\":{},\
-         \"units_already_valid\":{},\
-         \"units_unmapped\":{},\"alpha\":{:.6},\"wall_secs\":{:.6},\
-         \"disk_reads\":{},\"disk_writes\":{},\"mapped_units_per_disk\":{}}}",
-        report.failed_disks.first().map_or(-1, |d| i64::from(*d)),
-        failed(&report.failed_disks),
-        report.units_rebuilt,
-        report.units_already_valid,
-        report.units_unmapped,
-        report.alpha,
-        report.wall_secs,
-        list(&report.disk_reads),
-        list(&report.disk_writes),
-        list(&report.mapped_units_per_disk),
-    )
+    json::object(|o| {
+        o.int(
+            "failed_disk",
+            report.failed_disks.first().map_or(-1, |d| i64::from(*d)),
+        );
+        o.array("failed_disks", &report.failed_disks)
+            .int("units_rebuilt", report.units_rebuilt)
+            .int("units_already_valid", report.units_already_valid)
+            .int("units_unmapped", report.units_unmapped)
+            .fixed("alpha", report.alpha, 6)
+            .fixed("wall_secs", report.wall_secs, 6)
+            .array("disk_reads", &report.disk_reads)
+            .array("disk_writes", &report.disk_writes)
+            .array("mapped_units_per_disk", &report.mapped_units_per_disk);
+    })
 }
 
 fn scrub_json(report: &ScrubReport) -> String {
-    format!(
-        "{{\"units_scanned\":{},\"media_errors\":{},\"checksum_errors\":{},\
-         \"repaired\":{},\"escalated\":{}}}",
-        report.units_scanned,
-        report.media_errors,
-        report.checksum_errors,
-        report.repaired,
-        report.escalated,
-    )
+    json::object(|o| {
+        o.int("units_scanned", report.units_scanned)
+            .int("media_errors", report.media_errors)
+            .int("checksum_errors", report.checksum_errors)
+            .int("repaired", report.repaired)
+            .int("escalated", report.escalated);
+    })
 }

@@ -7,8 +7,8 @@
 //! commutative: parallel sweep shards can be combined in any grouping
 //! and produce byte-identical reports.
 
+use crate::json;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Sub-buckets per power-of-two octave (3 significant bits).
 const SUB_BUCKETS: u64 = 8;
@@ -20,7 +20,7 @@ const NUM_BUCKETS: usize = 496;
 /// Buckets have at most 12.5 % relative width, so any quantile read off
 /// the histogram is within one bucket width of the exact value. The
 /// exact maximum and sum are tracked alongside the buckets.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
     counts: Vec<u64>,
     count: u64,
@@ -185,17 +185,14 @@ impl LatencyHistogram {
     /// non-empty buckets as `[lower_us, count]` pairs.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let buckets: Vec<String> = self
-            .nonzero_buckets()
-            .map(|(lower, _, c)| format!("[{lower},{c}]"))
-            .collect();
-        format!(
-            "{{\"count\":{},\"sum_us\":{},\"max_us\":{},\"buckets\":[{}]}}",
-            self.count,
-            self.sum_us,
-            self.max_us,
-            buckets.join(",")
-        )
+        let buckets = self.nonzero_buckets();
+        let buckets = buckets.map(|(lower, _, c)| format!("[{lower},{c}]"));
+        json::object(|o| {
+            o.int("count", self.count)
+                .int("sum_us", self.sum_us)
+                .int("max_us", self.max_us)
+                .array("buckets", buckets);
+        })
     }
 }
 

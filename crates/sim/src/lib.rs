@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod histogram;
+pub mod json;
 pub mod probe;
 pub mod queue;
 pub mod rng;

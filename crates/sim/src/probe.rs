@@ -10,11 +10,11 @@
 //! that replays bit-for-bit on a deterministic re-run.
 
 use crate::histogram::LatencyHistogram;
+use crate::json;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// The instrumented operation classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpClass {
     /// A user read request, arrival to completion.
     UserRead,
@@ -122,7 +122,7 @@ impl Probe for NoProbe {
 }
 
 /// One point of a per-disk timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimelineSample {
     /// Sample time, µs since the run began.
     pub t_us: u64,
@@ -134,7 +134,7 @@ pub struct TimelineSample {
 }
 
 /// Utilization and queue-depth timeline for one disk.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiskTimeline {
     /// Array slot of the disk.
     pub disk: u16,
@@ -146,21 +146,18 @@ impl DiskTimeline {
     /// Deterministic JSON object: `{"disk":N,"samples":[[t_us,util,q],…]}`.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let samples: Vec<String> = self
-            .samples
-            .iter()
-            .map(|s| format!("[{},{},{}]", s.t_us, s.utilization, s.queue_depth))
-            .collect();
-        format!(
-            "{{\"disk\":{},\"samples\":[{}]}}",
-            self.disk,
-            samples.join(",")
-        )
+        json::object(|o| {
+            let samples = self.samples.iter().map(|s| {
+                let utilization = json::Float(s.utilization, None);
+                format!("[{},{utilization},{}]", s.t_us, s.queue_depth)
+            });
+            o.int("disk", self.disk).array("samples", samples);
+        })
     }
 }
 
 /// One reconstruction-progress observation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReconSample {
     /// Sample time, µs since the run began.
     pub t_us: u64,
@@ -169,7 +166,7 @@ pub struct ReconSample {
 }
 
 /// Everything a [`Recorder`] observed during a run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Observations {
     /// Latency histogram per op class, in [`OpClass::ALL`] order.
     pub classes: Vec<(OpClass, LatencyHistogram)>,
@@ -199,26 +196,25 @@ impl Observations {
     /// the trace itself is written separately as JSONL).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let classes: Vec<String> = self
-            .classes
-            .iter()
-            .map(|(c, h)| format!("\"{}\":{}", c.name(), h.to_json()))
-            .collect();
-        let timelines: Vec<String> = self.timelines.iter().map(DiskTimeline::to_json).collect();
-        let recon: Vec<String> = self
-            .recon_progress
-            .iter()
-            .map(|s| format!("[{},{}]", s.t_us, s.rebuilt))
-            .collect();
-        format!(
-            "{{\"classes\":{{{}}},\"timelines\":[{}],\"recon_progress\":[{}],\"recon_total\":{},\"trace_lines\":{},\"trace_dropped\":{}}}",
-            classes.join(","),
-            timelines.join(","),
-            recon.join(","),
-            self.recon_total,
-            self.trace.len(),
-            self.trace_dropped
-        )
+        json::object(|o| {
+            o.object("classes", |c| {
+                for (class, h) in &self.classes {
+                    c.raw(class.name(), &h.to_json());
+                }
+            });
+            let recon = self.recon_progress.iter();
+            o.array(
+                "timelines",
+                self.timelines.iter().map(DiskTimeline::to_json),
+            )
+            .array(
+                "recon_progress",
+                recon.map(|s| format!("[{},{}]", s.t_us, s.rebuilt)),
+            )
+            .int("recon_total", self.recon_total)
+            .int("trace_lines", self.trace.len())
+            .int("trace_dropped", self.trace_dropped);
+        })
     }
 }
 
@@ -331,12 +327,12 @@ impl Probe for Recorder {
     fn latency(&mut self, now: SimTime, class: OpClass, latency: SimTime) {
         self.hists[class.index()].record(latency);
         if self.trace.is_some() {
-            self.trace_line(format!(
-                "{{\"e\":\"lat\",\"t\":{},\"c\":\"{}\",\"us\":{}}}",
-                now.as_us(),
-                class.name(),
-                latency.as_us()
-            ));
+            self.trace_line(json::object(|o| {
+                o.str("e", "lat")
+                    .int("t", now.as_us())
+                    .str("c", class.name())
+                    .int("us", latency.as_us());
+            }));
         }
     }
 
@@ -367,10 +363,13 @@ impl Probe for Recorder {
             queue_depth: sample.queue_depth,
         });
         if self.trace.is_some() {
-            self.trace_line(format!(
-                "{{\"e\":\"disk\",\"t\":{},\"d\":{},\"busy\":{},\"q\":{}}}",
-                t_us, sample.disk, sample.busy_us, sample.queue_depth
-            ));
+            self.trace_line(json::object(|o| {
+                o.str("e", "disk")
+                    .int("t", t_us)
+                    .int("d", sample.disk)
+                    .int("busy", sample.busy_us)
+                    .int("q", sample.queue_depth);
+            }));
         }
         // Advance the cadence once per round (after the last disk we
         // have seen so far; subsequent disks in this round share `now`
@@ -396,20 +395,21 @@ impl Probe for Recorder {
             rebuilt,
         });
         if self.trace.is_some() {
-            self.trace_line(format!(
-                "{{\"e\":\"recon\",\"t\":{},\"done\":{rebuilt},\"total\":{total}}}",
-                now.as_us()
-            ));
+            self.trace_line(json::object(|o| {
+                o.str("e", "recon")
+                    .int("t", now.as_us())
+                    .int("done", rebuilt)
+                    .int("total", total);
+            }));
         }
     }
 
     fn collect(&mut self, _now: SimTime) -> Option<Observations> {
         let mut trace = self.trace.take().unwrap_or_default();
         if self.trace_dropped > 0 {
-            trace.push(format!(
-                "{{\"e\":\"dropped\",\"n\":{}}}",
-                self.trace_dropped
-            ));
+            trace.push(json::object(|o| {
+                o.str("e", "dropped").int("n", self.trace_dropped);
+            }));
         }
         Some(Observations {
             classes: OpClass::ALL

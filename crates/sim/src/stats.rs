@@ -1,7 +1,6 @@
 //! Statistics accumulators used throughout the simulator.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Streaming mean / standard deviation via Welford's algorithm.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.mean(), 5.0);
 /// assert!((s.std_dev() - 2.138089935).abs() < 1e-6);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -121,7 +120,7 @@ impl OnlineStats {
 /// The paper reports average user response time; the OLTP rule of thumb it
 /// cites ("90 % of transactions under two seconds") makes the 90th
 /// percentile worth tracking too, so samples are retained for quantiles.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResponseStats {
     samples_ms: Vec<f64>,
     moments: OnlineStats,

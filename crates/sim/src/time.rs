@@ -1,6 +1,5 @@
 //! Simulated time as an integer microsecond counter.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -20,9 +19,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// assert_eq!(t.as_us(), 13_900);
 /// assert!(t < SimTime::from_secs(1));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

@@ -7,12 +7,13 @@
 //! flight, so the numbers are a consistent-enough snapshot, not a
 //! barrier: totals may trail per-disk counters by a few in-flight ops.
 //!
-//! The JSON encoding is hand-rolled (the workspace has no real serde)
-//! and deliberately flat so shell pipelines can grep a field without a
-//! JSON parser.
+//! The JSON encoding (written through `decluster_sim::json`) is compact,
+//! so shell pipelines can grep a `"key":value` pair without a JSON
+//! parser.
 
 use crate::health::FaultCounters;
 use crate::store::BlockStore;
+use decluster_sim::json;
 
 /// Point-in-time view of one backing disk.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,111 +105,49 @@ impl StoreStats {
 
     /// Renders the snapshot as a single JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024 + self.per_disk.len() * 160);
-        out.push('{');
-        push_str(&mut out, "layout", &self.layout);
-        push_u64(&mut out, "disks", self.disks as u64);
-        push_u64(&mut out, "group", self.group as u64);
-        push_f64(&mut out, "alpha", self.alpha);
-        push_u64(&mut out, "unit_bytes", self.unit_bytes);
-        push_u64(&mut out, "data_units", self.data_units);
-        push_u64(&mut out, "block_count", self.block_count);
-        push_bool(&mut out, "degraded", self.degraded);
-        match self.failed_disk {
-            Some(d) => push_u64(&mut out, "failed_disk", d as u64),
-            None => push_raw(&mut out, "failed_disk", "null"),
-        }
-        push_bool(&mut out, "read_only", self.read_only);
-        out.push_str("\"faults\":{");
-        let f = &self.faults;
-        push_u64(&mut out, "media_errors", f.media_errors);
-        push_u64(&mut out, "checksum_errors", f.checksum_errors);
-        push_u64(&mut out, "retries", f.retries);
-        push_u64(&mut out, "retry_successes", f.retry_successes);
-        push_u64(&mut out, "repaired", f.repaired);
-        push_u64(&mut out, "repair_units_read", f.repair_units_read);
-        push_u64(&mut out, "repair_units_written", f.repair_units_written);
-        push_u64(&mut out, "escalated", f.escalated);
-        push_u64(&mut out, "hedged_reads", f.hedged_reads);
-        push_u64(&mut out, "hedge_wins", f.hedge_wins);
-        push_u64(&mut out, "demotions", f.demotions);
-        close_obj(&mut out);
-        out.push(',');
-        out.push_str("\"per_disk\":[");
-        for (i, d) in self.per_disk.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            push_u64(&mut out, "disk", d.disk as u64);
-            push_u64(&mut out, "reads", d.reads);
-            push_u64(&mut out, "writes", d.writes);
-            push_u64(&mut out, "faults", d.faults);
-            push_f64(&mut out, "ewma_read_us", d.ewma_read_us);
-            push_bool(&mut out, "limping", d.limping);
-            push_bool(&mut out, "failed", d.failed);
-            close_obj(&mut out);
-        }
-        out.push(']');
-        out.push('}');
-        out
+        json::object(|o| {
+            o.str("layout", &self.layout)
+                .int("disks", self.disks)
+                .int("group", self.group)
+                .fixed("alpha", self.alpha, 3)
+                .int("unit_bytes", self.unit_bytes)
+                .int("data_units", self.data_units)
+                .int("block_count", self.block_count)
+                .bool("degraded", self.degraded);
+            match self.failed_disk {
+                Some(d) => o.int("failed_disk", d),
+                None => o.raw("failed_disk", "null"),
+            };
+            let f = &self.faults;
+            o.bool("read_only", self.read_only).object("faults", |o| {
+                o.int("media_errors", f.media_errors)
+                    .int("checksum_errors", f.checksum_errors)
+                    .int("retries", f.retries)
+                    .int("retry_successes", f.retry_successes)
+                    .int("repaired", f.repaired)
+                    .int("repair_units_read", f.repair_units_read)
+                    .int("repair_units_written", f.repair_units_written)
+                    .int("escalated", f.escalated)
+                    .int("hedged_reads", f.hedged_reads)
+                    .int("hedge_wins", f.hedge_wins)
+                    .int("demotions", f.demotions);
+            });
+            o.array(
+                "per_disk",
+                self.per_disk.iter().map(|d| {
+                    json::object(|o| {
+                        o.int("disk", d.disk)
+                            .int("reads", d.reads)
+                            .int("writes", d.writes)
+                            .int("faults", d.faults)
+                            .fixed("ewma_read_us", d.ewma_read_us, 3)
+                            .bool("limping", d.limping)
+                            .bool("failed", d.failed);
+                    })
+                }),
+            );
+        })
     }
-}
-
-fn push_key(out: &mut String, key: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-}
-
-fn push_raw(out: &mut String, key: &str, value: &str) {
-    push_key(out, key);
-    out.push_str(value);
-    out.push(',');
-}
-
-fn push_str(out: &mut String, key: &str, value: &str) {
-    push_key(out, key);
-    out.push('"');
-    // Layout names and the like are ASCII identifiers; escape the two
-    // characters that could break the quoting anyway.
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            _ => out.push(c),
-        }
-    }
-    out.push('"');
-    out.push(',');
-}
-
-fn push_u64(out: &mut String, key: &str, value: u64) {
-    push_key(out, key);
-    out.push_str(&value.to_string());
-    out.push(',');
-}
-
-fn push_bool(out: &mut String, key: &str, value: bool) {
-    push_raw(out, key, if value { "true" } else { "false" });
-}
-
-fn push_f64(out: &mut String, key: &str, value: f64) {
-    push_key(out, key);
-    if value.is_finite() {
-        out.push_str(&format!("{value:.3}"));
-    } else {
-        out.push_str("null");
-    }
-    out.push(',');
-}
-
-/// Replaces a trailing comma with the closing brace.
-fn close_obj(out: &mut String) {
-    if out.ends_with(',') {
-        out.pop();
-    }
-    out.push('}');
 }
 
 #[cfg(test)]

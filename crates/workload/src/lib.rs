@@ -26,12 +26,11 @@ pub mod locality;
 pub mod trace;
 
 use decluster_sim::{SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 pub use locality::Locality;
 
 /// Whether a user access reads or writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A user read.
     Read,
@@ -45,7 +44,7 @@ pub enum AccessKind {
 /// The paper's workload is fixed at one stripe unit (4 KB) per access,
 /// 4 KB-aligned; multi-unit requests (an extension exercising the paper's
 /// large-write-optimization discussion) are aligned to their own size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UserRequest {
     /// Arrival time.
     pub arrival: SimTime,
@@ -58,7 +57,7 @@ pub struct UserRequest {
 }
 
 /// The statistical shape of a workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadSpec {
     /// Aggregate arrival rate, user accesses per second.
     pub rate_per_sec: f64,

@@ -8,10 +8,9 @@
 //! declustering can be studied under realistic OLTP skew.
 
 use decluster_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// How access targets are distributed over the logical address space.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Locality {
     /// Every unit equally likely (the paper's model).
     #[default]

@@ -17,8 +17,8 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> campaign smoke (tiny Monte Carlo data-loss campaign + replay, all arms)"
 cargo run --release -q -p decluster-bench --bin campaign -- \
